@@ -37,17 +37,17 @@ Eight measurement suites:
   dict path and the CSR index-space path (plus dict-path *sequence* equality,
   the invariant that keeps mining digests stable), and the suite prints
   ``matcher parity: ok`` for the CI gate to grep.  Free-search timings are
-  best-of-``TIMING_REPEATS`` and, when numpy is available, the vectorized
-  CSR path must not be slower than the reference engine (full profile;
-  the quick CI graph is too small to amortise the kernel precompute and
-  gets ``QUICK_GATE_SLACK`` headroom) — the regression gate this PR's
-  kernel layer exists to pass.
-* **kernels** — the numpy kernel layer (``repro.graph.kernels``) vs its
-  scalar counterparts: end-to-end free search with kernels enabled vs the
-  scalar-fallback CSR path vs the reference engine (sequence/digest parity
-  asserted), plus per-kernel micro-timings (domain seeding, arc consistency,
-  sorted intersection, bulk row filtering, posting-pair merge) against naive
-  scalar references on inputs lifted from the same dense-class workload;
+  best-of-``TIMING_REPEATS`` and the vectorized CSR path must not be
+  slower than the reference engine (full profile; the quick CI graph is
+  too small to amortise the kernel precompute and gets
+  ``QUICK_GATE_SLACK`` headroom) — the regression gate the kernel layer
+  exists to pass.
+* **kernels** — the numpy kernel layer (``repro.graph.kernels``): the
+  kernel-backed CSR free search vs the reference engine (digest parity and
+  an ascending index-space sequence asserted), plus per-kernel
+  micro-timings (domain seeding, arc consistency, sorted intersection, bulk
+  row filtering, posting-pair merge) against naive scalar references on
+  inputs lifted from the same dense-class workload;
   written to ``BENCH_kernels.json``.  Every kernel's output is parity-checked
   before its clock is trusted, and the suite prints ``kernel parity: ok``
   for the CI gate to grep.
@@ -517,7 +517,7 @@ def best_of(make_engine, run):
 
 def run_matcher_suite(profile):
     """Domain matcher vs pre-refactor reference on a dense two-label class."""
-    from repro.graph import LabeledGraph, SubgraphMatcher, kernels, matcher_digest
+    from repro.graph import LabeledGraph, SubgraphMatcher, matcher_digest
     from repro.graph._matcher_reference import ReferenceSubgraphMatcher
 
     num_vertices, embedding_cap = MATCHER_PROFILES[profile]
@@ -567,12 +567,10 @@ def run_matcher_suite(profile):
     assert matcher_digest(csr_free) == free_digest, (
         "matcher parity FAILED: csr path diverged from the reference set"
     )
-    # The regression gate the kernel layer exists to pass: with numpy
-    # dispatched, the vectorized CSR free search must not lose wall-clock to
-    # the pre-domain reference engine (best-of minima, so shared-host noise
-    # is already filtered out).
-    if kernels.numpy_available():
-        assert_free_search_gate(profile, csr_free_seconds, ref_free_seconds)
+    # The regression gate the kernel layer exists to pass: the vectorized
+    # CSR free search must not lose wall-clock to the pre-domain reference
+    # engine (best-of minima, so shared-host noise is already filtered out).
+    assert_free_search_gate(profile, csr_free_seconds, ref_free_seconds)
 
     # ---- anchored batch: per-anchor reference vs one domain build --------
     anchors = sorted(graph.vertices_with_label("A"), key=repr)
@@ -688,7 +686,7 @@ def run_matcher_suite(profile):
 
 
 def run_kernels_suite(profile):
-    """Numpy kernel layer vs scalar counterparts: end-to-end and per kernel."""
+    """Numpy kernel layer: kernel-backed free search and per-kernel timings."""
     from bisect import bisect_left
     from collections import Counter
 
@@ -696,9 +694,6 @@ def run_kernels_suite(profile):
     from repro.graph._matcher_reference import ReferenceSubgraphMatcher
     from repro.patterns import EmbeddingIndex
 
-    if not kernels.HAVE_NUMPY:
-        print("kernels suite skipped: numpy unavailable", flush=True)
-        return
     import numpy as np
 
     num_vertices, embedding_cap = MATCHER_PROFILES[profile]
@@ -721,25 +716,25 @@ def run_kernels_suite(profile):
     pattern.add_edge(0, 1)
     pattern.add_edge(1, 2)
 
-    # ---- end-to-end free search across the three engines -----------------
+    # ---- end-to-end free search: reference vs kernel-backed CSR ----------
     ref_seconds, ref_free, _ = best_of(
         lambda: ReferenceSubgraphMatcher(pattern, graph),
         lambda m: m.find_embeddings(limit=embedding_cap),
     )
-    kernel_seconds, kernel_free, _ = best_of(
+    kernel_seconds, kernel_free, kernel_matcher = best_of(
         lambda: SubgraphMatcher(pattern, frozen),
         lambda m: m.find_embeddings(limit=embedding_cap),
     )
-    with kernels.scalar_fallback():
-        scalar_seconds, scalar_free, _ = best_of(
-            lambda: SubgraphMatcher(pattern, frozen),
-            lambda m: m.find_embeddings(limit=embedding_cap),
-        )
-    # Both CSR paths ascend their candidate pools: the *sequence* must match
-    # (the mining-digest invariant), and the set must equal the reference's.
-    assert kernel_free == scalar_free, (
-        "kernel parity FAILED: vectorized free search diverged from the "
-        "scalar CSR sequence"
+    # The CSR path ascends its candidate pools, so the embeddings, read as
+    # target-index tuples in matching order, must strictly ascend (the
+    # mining-digest invariant); the set must equal the reference's.
+    keys = [
+        tuple(frozen.index_of(m[p]) for p in kernel_matcher._order)
+        for m in kernel_free
+    ]
+    assert all(a < b for a, b in zip(keys, keys[1:])), (
+        "kernel parity FAILED: vectorized free search sequence does not "
+        "ascend in index space"
     )
     digest = matcher_digest(ref_free)
     assert matcher_digest(kernel_free) == digest, (
@@ -748,9 +743,8 @@ def run_kernels_suite(profile):
     )
     assert_free_search_gate(profile, kernel_seconds, ref_seconds)
     print(
-        f"free search: reference {ref_seconds:.4f}s, scalar csr "
-        f"{scalar_seconds:.4f}s, vectorized csr {kernel_seconds:.4f}s "
-        f"({len(kernel_free)} embeddings)",
+        f"free search: reference {ref_seconds:.4f}s, vectorized csr "
+        f"{kernel_seconds:.4f}s ({len(kernel_free)} embeddings)",
         flush=True,
     )
 
@@ -917,17 +911,16 @@ def run_kernels_suite(profile):
         "timing_repeats": TIMING_REPEATS,
         "free_search": {
             "reference_seconds": round(ref_seconds, 4),
-            "scalar_csr_seconds": round(scalar_seconds, 4),
             "vectorized_csr_seconds": round(kernel_seconds, 4),
             "num_embeddings": len(kernel_free),
             "parity_digest": digest,
         },
         "kernels": micro,
         "note": (
-            "end-to-end free search (best-of minima) across the reference "
-            "engine, the scalar-fallback CSR path and the vectorized CSR "
-            "path — sequence/digest parity asserted, vectorized ≤ reference "
-            "gated; micro rows compare each kernel against a naive scalar "
+            "end-to-end free search (best-of minima) of the reference "
+            "engine and the vectorized CSR path — digest parity and an "
+            "ascending index-space sequence asserted, vectorized ≤ "
+            "reference gated; micro rows compare each kernel against a naive scalar "
             "reference on inputs lifted from the same dense-class workload, "
             "output-parity-checked before the clock is trusted; per-call "
             "kernels (intersect_sorted) can lose on tiny CSR rows — numpy "

@@ -16,6 +16,18 @@ from typing import Optional
 from ..parallel.policy import ExecutionPolicy
 from ..patterns.support import SupportMeasure
 
+#: Engineering caps on :class:`SpiderMineConfig` that truncate a list or a
+#: loop; each must keep at least one item (``ranked[:cap]`` with ``cap < 1``
+#: would silently drop items from the wrong end).
+_TRUNCATION_CAPS = (
+    "max_spider_size",
+    "max_spiders",
+    "max_embeddings_per_pattern",
+    "max_patterns_per_iteration",
+    "max_occurrences_grown_per_entry",
+    "max_extensions_per_boundary",
+)
+
 #: Accepted values for :attr:`CachePolicy.mode`.
 CACHE_MODES = ("readwrite", "readonly", "refresh")
 
@@ -183,8 +195,9 @@ class SpiderMineConfig:
             raise ValueError("radius must be at least 1")
         if self.v_min is not None and self.v_min < 1:
             raise ValueError("v_min must be positive when given")
-        if self.max_spider_size < 1:
-            raise ValueError("max_spider_size must be at least 1")
+        for cap in _TRUNCATION_CAPS:
+            if getattr(self, cap) < 1:
+                raise ValueError(f"{cap} must be at least 1")
         if not isinstance(self.support_measure, SupportMeasure):
             self.support_measure = SupportMeasure(self.support_measure)
         if not isinstance(self.execution, ExecutionPolicy):

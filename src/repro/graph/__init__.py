@@ -13,9 +13,8 @@ Public surface:
   :func:`matcher_digest` — the cross-backend parity fingerprint;
 * random graph models and the paper's synthetic injection recipe;
 * plain-text / JSON I/O;
-* :mod:`~repro.graph.kernels` — optional numpy kernels behind the CSR hot
-  paths (domain seeding, arc consistency, row intersection, posting merge),
-  with scalar fallbacks everywhere they are dispatched.
+* :mod:`~repro.graph.kernels` — the numpy kernels behind the CSR hot paths
+  (domain seeding, arc consistency, row intersection, posting merge).
 """
 
 from .labeled_graph import GraphError, LabeledGraph, graph_from_edges, normalise_edge

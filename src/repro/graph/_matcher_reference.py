@@ -16,13 +16,15 @@ It exists for two jobs and must not be "improved":
   baseline when reporting how many per-candidate feasibility tests domain
   filtering eliminates.
 
-The only additions over the historical code are the two counters
-(``candidate_tests``, ``pool_fallbacks``); they observe the search without
-changing a single branch of it.
+The only changes to the historical code are the two counters
+(``candidate_tests``, ``pool_fallbacks``), which observe the search without
+changing a single branch of it, and the ``limit`` cap, which is checked
+before each embedding is yielded (so ``limit=0`` yields none).
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .labeled_graph import LabeledGraph, Vertex
@@ -88,12 +90,8 @@ class ReferenceSubgraphMatcher:
             used = set()
             start_index = 0
 
-        count = 0
-        for mapping in self._search(order, start_index, initial, used):
+        for mapping in islice(self._search(order, start_index, initial, used), limit):
             yield dict(mapping)
-            count += 1
-            if limit is not None and count >= limit:
-                return
 
     def exists(self, anchor: Optional[Tuple[Vertex, Vertex]] = None) -> bool:
         for _ in self.iter_embeddings(limit=1, anchor=anchor):

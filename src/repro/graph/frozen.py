@@ -38,6 +38,7 @@ from bisect import bisect_left
 from collections import Counter
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
+from .kernels import as_index_array
 from .labeled_graph import Edge, GraphError, Label, LabeledGraph, Vertex
 from .view import GraphView
 
@@ -272,13 +273,9 @@ class FrozenGraph:
         buffers — ``array.array``, shared-memory ``memoryview`` and ndarray
         inputs all map without copying) and memoised; treat them as
         read-only.  This is the array surface the vectorized kernels
-        (:mod:`repro.graph.kernels`) operate on.  Raises ``RuntimeError``
-        when numpy is unavailable — callers gate on
-        :func:`repro.graph.kernels.numpy_available`.
+        (:mod:`repro.graph.kernels`) operate on.
         """
         if self._np_views is None:
-            from .kernels import as_index_array
-
             self._np_views = (
                 as_index_array(self._offsets),
                 as_index_array(self._neighbors),
@@ -294,8 +291,6 @@ class FrozenGraph:
             return None
         view = self._np_members.get(lid)
         if view is None:
-            from .kernels import as_index_array
-
             view = as_index_array(self._label_members[lid])
             self._np_members[lid] = view
         return view

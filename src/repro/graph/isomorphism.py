@@ -18,30 +18,23 @@ domain.  Every domain filter is sound (it removes only vertices that can
 appear in no embedding), so filtering never changes *what* is enumerated,
 only how much work enumeration costs.
 
-Two search paths share the domains:
+Two search paths share the domains, chosen by target type:
 
 * on a :class:`~repro.graph.frozen.FrozenGraph` target the whole search runs
-  in **CSR index space** — int vertex indices, bisect probes on the sorted
-  neighbor arrays, no frozenset materialisation — converting back to vertex
-  ids only when an embedding is yielded;
-* on the dict backend the pre-refactor path is kept as the reference
+  in **CSR index space** on the numpy kernels (:mod:`repro.graph.kernels`):
+  domains are seeded and arc-consistency-refined by whole-label-class array
+  kernels, and before searching, each directed pattern edge ``(q, p)`` gets
+  a precomputed **candidate adjacency** — every domain member of ``q``'s
+  neighbor row intersected with ``p``'s domain in one bulk
+  :func:`~repro.graph.kernels.filter_rows` pass — so the per-node inner loop
+  walks short pre-filtered Python lists of int indices with no label/domain
+  probes at all, converting back to vertex ids only when an embedding is
+  yielded.  Candidate pools ascend, so a free search yields its embeddings
+  in ascending index-space order (pinned in ``tests/test_kernels.py``);
+* on any other target the pre-refactor path is kept as the reference
   implementation (frozenset candidate pools, now additionally filtered by the
   domains).  Because domain filtering is pruning-only, the dict path yields
   exactly the embedding *sequence* the matcher always produced.
-
-When numpy is importable (:func:`repro.graph.kernels.numpy_available`) the
-CSR path additionally runs **vectorized**: domains are seeded and
-arc-consistency-refined by whole-label-class array kernels instead of
-per-vertex ``Counter`` scans, and before searching, each directed pattern
-edge ``(q, p)`` gets a precomputed **candidate adjacency** — every domain
-member of ``q``'s neighbor row intersected with ``p``'s domain in one bulk
-:func:`~repro.graph.kernels.filter_rows` pass — so the per-node inner loop
-walks short pre-filtered Python lists with no label/domain probes at all.
-Candidate pools keep ascending index order, which is exactly the scalar
-enumeration order, so the kernel path yields the same embedding *sequence*
-as the scalar CSR path (digest-pinned in ``tests/test_kernels.py``).  The
-scalar CSR code is retained verbatim below as the fallback when numpy is
-absent (:func:`~repro.graph.kernels.scalar_fallback` forces it for tests).
 
 The two paths are pinned together by :func:`matcher_digest` — a canonical,
 order-insensitive fingerprint of an embedding collection (the analogue of the
@@ -73,6 +66,7 @@ import hashlib
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from typing import (
     Dict,
     FrozenSet,
@@ -100,10 +94,9 @@ class MatcherStats:
     #: candidates that reached the per-candidate feasibility check
     candidate_tests: int = 0
     #: candidates rejected by domain membership before any feasibility work.
-    #: On the vectorized kernel path these are counted once per
-    #: (pattern edge, neighbor row) when the candidate adjacency is built,
-    #: not once per search visit, so anchored batches report fewer prunes
-    #: than the scalar path for the same pruning power.
+    #: On the CSR path these are counted once per (pattern edge, neighbor
+    #: row) when the candidate adjacency is built, not once per search visit
+    #: as on the dict path.
     domain_prunes: int = 0
     #: label-scan candidate pools used mid-search (a vertex with no mapped
     #: neighbor after the first of its component — 0 for connected patterns
@@ -148,9 +141,6 @@ class SubgraphMatcher:
         self._csr: Optional[FrozenGraph] = (
             target if isinstance(target, FrozenGraph) else None
         )
-        # Dispatch between the vectorized and the scalar CSR engines is
-        # captured once at construction so one matcher never mixes paths.
-        self._use_kernels = self._csr is not None and kernels.numpy_available()
         self._order = self._matching_order()
         # Lazily built domain state.  ``_domains_ready`` distinguishes "not
         # built yet" from "built and proven empty" (``_domains is None``).
@@ -158,8 +148,8 @@ class SubgraphMatcher:
         self._domains: Optional[Dict[Vertex, Set[Vertex]]] = None          # dict path
         self._domains_ix: Optional[Dict[Vertex, List[int]]] = None         # csr path
         self._domain_sets_ix: Optional[Dict[Vertex, Set[int]]] = None      # csr path
-        self._domains_np: Optional[Dict[Vertex, object]] = None            # kernel path
-        # Kernel-path memos: per directed pattern edge (q, p) the
+        self._domains_np: Optional[Dict[Vertex, object]] = None            # csr path
+        # CSR-path memos: per directed pattern edge (q, p) the
         # domain-filtered candidate adjacency, per pattern vertex the
         # index-of-domain-member map, per matching order the search context.
         self._cand_adj: Dict[Tuple[Vertex, Vertex], tuple] = {}
@@ -201,12 +191,9 @@ class SubgraphMatcher:
             order = self._anchored_order(p_anchor)
         else:
             order = self._order
-        count = 0
-        for mapping in self._run_search(order, anchor):
-            yield mapping
-            count += 1
-            if limit is not None and count >= limit:
-                return
+        # islice checks the cap before pulling the next embedding, so
+        # ``limit=0`` yields nothing and no search step runs past the cap.
+        yield from islice(self._run_search(order, anchor), limit)
 
     def iter_anchored(
         self,
@@ -242,12 +229,10 @@ class SubgraphMatcher:
                 continue
             if not self._domain_contains(p_anchor, t_anchor):
                 continue
-            count = 0
-            for mapping in self._run_search(order, (p_anchor, t_anchor)):
+            for mapping in islice(
+                self._run_search(order, (p_anchor, t_anchor)), limit_per_anchor
+            ):
                 yield t_anchor, mapping
-                count += 1
-                if limit_per_anchor is not None and count >= limit_per_anchor:
-                    break
 
     def exists(self, anchor: Optional[Tuple[Vertex, Vertex]] = None) -> bool:
         """Whether at least one embedding exists."""
@@ -285,10 +270,8 @@ class SubgraphMatcher:
         self, order: Sequence[Vertex], anchor: Optional[Tuple[Vertex, Vertex]]
     ) -> Iterator[Mapping]:
         self.stats.searches += 1
-        if self._use_kernels:
-            return self._search_csr_kernels(order, anchor)
         if self._csr is not None:
-            return self._search_csr(order, anchor)
+            return self._search_csr_kernels(order, anchor)
         return self._search_dict(order, anchor)
 
     # ------------------------------------------------------------------ #
@@ -362,10 +345,8 @@ class SubgraphMatcher:
         """Build the candidate domains once; False ⇒ some domain is empty."""
         if not self._domains_ready:
             self._domains_ready = True
-            if self._use_kernels:
+            if self._csr is not None:
                 self._build_domains_csr_numpy()
-            elif self._csr is not None:
-                self._build_domains_csr()
             else:
                 self._build_domains_dict()
             if (self._domains is None) and (self._domains_ix is None):
@@ -432,67 +413,14 @@ class SubgraphMatcher:
             return any(s in neighbors for s in domain)
         return any(n in domain for n in neighbors)
 
-    def _build_domains_csr(self) -> None:
-        g = self._csr
-        assert g is not None
-        offsets = g.offsets
-        nbrs = g.neighbor_indices
-        lids = g.label_ids
-        signature_cache: Dict[int, Counter] = {}
-
-        domains: Dict[Vertex, List[int]] = {}
-        for p, label, degree, needed in self._pattern_requirements():
-            needed_ix = Counter()
-            feasible = True
-            for lbl, cnt in needed.items():
-                lid = g.label_id(lbl)
-                if lid is None:
-                    feasible = False
-                    break
-                needed_ix[lid] = cnt
-            if not feasible:
-                return
-            domain: List[int] = []
-            for t in g.label_member_indices(label):
-                if offsets[t + 1] - offsets[t] < degree:
-                    continue
-                if needed_ix:
-                    sig = signature_cache.get(t)
-                    if sig is None:
-                        sig = Counter(lids[c] for c in nbrs[offsets[t]:offsets[t + 1]])
-                        signature_cache[t] = sig
-                    if any(sig.get(lid, 0) < cnt for lid, cnt in needed_ix.items()):
-                        continue
-                domain.append(t)  # member rows ascend, so domains stay sorted
-            if not domain:
-                return
-            domains[p] = domain
-
-        for u, v in self._ac_edges():
-            for a, b in ((u, v), (v, u)):
-                dom_b = domains[b]
-                dom_b_set = set(dom_b)
-                kept = [
-                    t
-                    for t in domains[a]
-                    if self._has_neighbor_in_csr(t, dom_b, dom_b_set)
-                ]
-                if not kept:
-                    return
-                domains[a] = kept
-        self._domains_ix = domains
-        self._domain_sets_ix = {p: set(dom) for p, dom in domains.items()}
-
     def _build_domains_csr_numpy(self) -> None:
-        """Vectorized domain seeding + arc consistency (same sets as scalar).
+        """Vectorized domain seeding + arc consistency (same sets as dict).
 
         Each pattern vertex's whole label class is filtered in one
         :func:`~repro.graph.kernels.seed_domain` call (degree + neighbor-label
         signature over gathered rows), and each arc-consistency direction is
         one :func:`~repro.graph.kernels.ac_filter` call.  Domains stay sorted
-        ascending throughout, exactly like the scalar build, so every
-        downstream consumer (search order, anchored iteration, digests) is
-        unchanged.
+        ascending throughout, which is what keeps the search pools ascending.
         """
         g = self._csr
         assert g is not None
@@ -548,8 +476,8 @@ class SubgraphMatcher:
         ascending.  Built once per matcher in one bulk
         :func:`~repro.graph.kernels.filter_rows` pass and converted to plain
         Python lists so the search inner loop stays allocation-free; row
-        entries dropped here are the per-visit domain/label probes the scalar
-        search no longer pays (counted once as ``domain_prunes``).
+        entries dropped here are per-visit domain/label probes the search
+        never pays (counted once as ``domain_prunes``).
         """
         key = (q, p)
         cached = self._cand_adj.get(key)
@@ -564,22 +492,6 @@ class SubgraphMatcher:
             cached = (flat.tolist(), bounds.tolist(), self._domain_position(q))
             self._cand_adj[key] = cached
         return cached
-
-    def _has_neighbor_in_csr(
-        self, t: int, domain: List[int], domain_set: Set[int]
-    ) -> bool:
-        g = self._csr
-        assert g is not None
-        offsets = g.offsets
-        nbrs = g.neighbor_indices
-        lo, hi = offsets[t], offsets[t + 1]
-        if hi - lo <= len(domain):
-            return any(nbrs[j] in domain_set for j in range(lo, hi))
-        for s in domain:
-            j = bisect_left(nbrs, s, lo, hi)
-            if j < hi and nbrs[j] == s:
-                return True
-        return False
 
     def _domain_contains(self, p_vertex: Vertex, t_vertex: Vertex) -> bool:
         if self._csr is not None:
@@ -704,133 +616,17 @@ class SubgraphMatcher:
             used.discard(t_vertex)
 
     # ------------------------------------------------------------------ #
-    # CSR index-space search (the FrozenGraph fast path)
-    # ------------------------------------------------------------------ #
-    def _search_csr(
-        self, order: Sequence[Vertex], anchor: Optional[Tuple[Vertex, Vertex]]
-    ) -> Iterator[Mapping]:
-        g = self._csr
-        assert g is not None and self._domains_ix is not None
-        pattern = self.pattern
-        stats = self.stats
-        offsets = g.offsets
-        nbrs = g.neighbor_indices
-        lids = g.label_ids
-        ids = g.vertex_ids
-        domain_sets = self._domain_sets_ix
-        assert domain_sets is not None
-
-        n_p = len(order)
-        position = {p: i for i, p in enumerate(order)}
-        # Per position: pattern neighbors mapped earlier, and (for induced
-        # semantics) earlier non-neighbors whose images must stay non-adjacent.
-        earlier_neighbors: List[List[Vertex]] = []
-        earlier_others: List[List[Vertex]] = []
-        for i, p in enumerate(order):
-            nbrs_p = pattern.neighbors(p)
-            earlier_neighbors.append([q for q in nbrs_p if position[q] < i])
-            if self.induced:
-                earlier_others.append([order[j] for j in range(i) if order[j] not in nbrs_p])
-            else:
-                earlier_others.append([])
-        label_ix = {p: g.label_id(pattern.label(p)) for p in order}
-
-        mapping_ix: Dict[Vertex, int] = {}
-        used: Set[int] = set()
-        start_index = 0
-        if anchor is not None:
-            p_anchor, t_anchor = anchor
-            anchor_ix = g.index_of(t_anchor)
-            mapping_ix[p_anchor] = anchor_ix
-            used.add(anchor_ix)
-            start_index = 1
-
-        def row_contains(lo: int, hi: int, value: int) -> bool:
-            j = bisect_left(nbrs, value, lo, hi)
-            return j < hi and nbrs[j] == value
-
-        def adjacent(a: int, b: int) -> bool:
-            # Probe the shorter of the two sorted rows.
-            alo, ahi = offsets[a], offsets[a + 1]
-            blo, bhi = offsets[b], offsets[b + 1]
-            if ahi - alo <= bhi - blo:
-                return row_contains(alo, ahi, b)
-            return row_contains(blo, bhi, a)
-
-        def induced_ok(i: int, candidate: int) -> bool:
-            row_lo, row_hi = offsets[candidate], offsets[candidate + 1]
-            for q in earlier_others[i]:
-                if row_contains(row_lo, row_hi, mapping_ix[q]):
-                    return False
-            return True
-
-        def search(i: int) -> Iterator[Mapping]:
-            if i == n_p:
-                yield {p: ids[t] for p, t in mapping_ix.items()}
-                return
-            p = order[i]
-            domain_set = domain_sets[p]
-            p_lid = label_ix[p]
-            mapped = earlier_neighbors[i]
-            if mapped:
-                # The candidate pool is the intersection of the mapped
-                # neighbors' rows: iterate the shortest row ascending, bisect
-                # the others.
-                rows = [
-                    (offsets[mapping_ix[q]], offsets[mapping_ix[q] + 1]) for q in mapped
-                ]
-                base = min(range(len(rows)), key=lambda k: rows[k][1] - rows[k][0])
-                base_lo, base_hi = rows[base]
-                others = [rows[k] for k in range(len(rows)) if k != base]
-                for j in range(base_lo, base_hi):
-                    candidate = nbrs[j]
-                    if any(
-                        not row_contains(olo, ohi, candidate) for olo, ohi in others
-                    ):
-                        continue
-                    if candidate in used or lids[candidate] != p_lid:
-                        continue
-                    if candidate not in domain_set:
-                        stats.domain_prunes += 1
-                        continue
-                    stats.candidate_tests += 1
-                    if self.induced and not induced_ok(i, candidate):
-                        continue
-                    mapping_ix[p] = candidate
-                    used.add(candidate)
-                    yield from search(i + 1)
-                    del mapping_ix[p]
-                    used.discard(candidate)
-            else:
-                if mapping_ix:
-                    stats.pool_fallbacks += 1
-                for candidate in self._domains_ix[p]:
-                    if candidate in used:
-                        continue
-                    stats.candidate_tests += 1
-                    if self.induced and not induced_ok(i, candidate):
-                        continue
-                    mapping_ix[p] = candidate
-                    used.add(candidate)
-                    yield from search(i + 1)
-                    del mapping_ix[p]
-                    used.discard(candidate)
-
-        yield from search(start_index)
-
-    # ------------------------------------------------------------------ #
-    # CSR kernel search (the vectorized default when numpy is available)
+    # CSR index-space search (the FrozenGraph path)
     # ------------------------------------------------------------------ #
     def _search_context(self, order: Sequence[Vertex]) -> tuple:
         """Per-matching-order search structures, built once per order.
 
-        The scalar path rebuilds these on every ``_run_search`` call — cheap
-        for one free search, but an anchored batch issues one search per
-        anchor, so the kernel path memoises by order.  For every position
-        with mapped pattern neighbors the context also pins the **base**
-        neighbor (the one whose candidate-adjacency rows are walked; the
-        others are only probed), chosen as the earlier-mapped neighbor whose
-        filtered adjacency is smallest overall.
+        An anchored batch issues one search per anchor, so the structures
+        are memoised by order rather than rebuilt per search.  For every
+        position with mapped pattern neighbors the context also pins the
+        **base** neighbor (the one whose candidate-adjacency rows are walked;
+        the others are only probed), chosen as the earlier-mapped neighbor
+        whose filtered adjacency is smallest overall.
         """
         key = tuple(order)
         context = self._search_contexts.get(key)
@@ -871,11 +667,12 @@ class SubgraphMatcher:
     ) -> Iterator[Mapping]:
         """Index-space search over precomputed candidate adjacencies.
 
-        Same enumeration sequence as :meth:`_search_csr` (candidate pools are
-        ascending row intersections either way); the per-node work drops to a
-        bounds lookup plus a used-check because label and domain filtering
-        already happened in bulk.  The deepest pattern vertex is emitted
-        inline — one dict copy per embedding instead of one generator frame.
+        Candidate pools are ascending row intersections, so a free search
+        yields embeddings in ascending index-space order; the per-node work
+        is a bounds lookup plus a used-check because label and domain
+        filtering already happened in bulk.  The deepest pattern vertex is
+        emitted inline — one dict copy per embedding instead of one generator
+        frame.
         """
         g = self._csr
         assert g is not None and self._domains_ix is not None

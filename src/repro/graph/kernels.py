@@ -14,11 +14,10 @@ pre-domain reference engine.
 This module batches exactly those loops into numpy:
 
 * :func:`seed_domain` — label/degree/neighbor-signature filtering over a
-  whole label-member row at once (replaces the per-vertex ``Counter`` scan in
-  ``SubgraphMatcher._build_domains_csr``);
+  whole label-member row at once (instead of a per-vertex ``Counter`` scan);
 * :func:`ac_filter` — one arc-consistency sweep direction as a gather +
-  ``searchsorted`` membership + segmented any-reduction (replaces
-  ``_has_neighbor_in_csr``'s per-element bisects);
+  ``searchsorted`` membership + segmented any-reduction (instead of
+  per-element bisects);
 * :func:`in_sorted` / :func:`intersect_sorted` — galloping ``searchsorted``
   membership and intersection of sorted index arrays (candidate-pool
   intersections mid-search);
@@ -28,12 +27,12 @@ This module batches exactly those loops into numpy:
 * :func:`merge_postings` — bulk conflict-pair emission from posting lists
   (replaces the nested posting loops in ``EmbeddingIndex.conflict_graph``).
 
-Every kernel is **pure**: arrays in, arrays out, no graph objects.  Callers
-keep their scalar implementations and dispatch on :func:`numpy_available`, so
-numpy stays an optional-but-default dependency — the package imports and
-mines without it, just slower.  Parity between the two paths is pinned by the
-digest machinery (``matcher_digest`` / ``conflict_digest``) in
-``tests/test_kernels.py`` and the perf-smoke kernels suite.
+Every kernel is **pure**: arrays in, arrays out, no graph objects.  numpy is
+a hard dependency, and this is the one module that imports it (reprolint's
+KERN001).  Each kernel is pinned against a naive pure-Python reference in
+``tests/test_kernels.py`` and the perf-smoke kernels suite; the engines built
+on them are pinned against the dict path and the reference matcher by the
+digest machinery (``matcher_digest`` / ``conflict_digest``).
 
 Zero-copy contract: :func:`as_index_array` wraps ``array.array``, typed
 ``memoryview`` (the shared-memory attach path) and ``np.ndarray`` buffers
@@ -43,17 +42,9 @@ without copying, so a worker process running these kernels over an attached
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as _np
-except ImportError:  # pragma: no cover - the scalar-fallback environment
-    _np = None
+import numpy as np
 
 __all__ = [
-    "HAVE_NUMPY",
-    "numpy_available",
-    "scalar_fallback",
     "as_index_array",
     "seed_domain",
     "ac_filter",
@@ -62,36 +53,6 @@ __all__ = [
     "filter_rows",
     "merge_postings",
 ]
-
-#: Whether numpy could be imported at all (the hard capability bound).
-HAVE_NUMPY = _np is not None
-
-#: Test/debug override: when True the kernels report unavailable even though
-#: numpy is importable, forcing every caller onto its scalar path.
-_FORCED_SCALAR = False
-
-
-def numpy_available() -> bool:
-    """Whether callers should dispatch onto the numpy kernels."""
-    return HAVE_NUMPY and not _FORCED_SCALAR
-
-
-@contextmanager
-def scalar_fallback():
-    """Force :func:`numpy_available` to ``False`` inside the block.
-
-    The parity tests run every engine once per path and compare digests;
-    production code never needs this.  Callers that capture the dispatch
-    decision at construction time (the matcher does) must be *constructed*
-    inside the block.
-    """
-    global _FORCED_SCALAR
-    previous = _FORCED_SCALAR
-    _FORCED_SCALAR = True
-    try:
-        yield
-    finally:
-        _FORCED_SCALAR = previous
 
 
 # --------------------------------------------------------------------------- #
@@ -105,12 +66,10 @@ def as_index_array(buffer):
     ``np.frombuffer`` maps the existing bytes; the caller must treat the
     result as read-only (the CSR payload is immutable by contract).
     """
-    if _np is None:
-        raise RuntimeError("numpy is not available")
-    if isinstance(buffer, _np.ndarray):
+    if isinstance(buffer, np.ndarray):
         return buffer
     typecode = getattr(buffer, "typecode", None) or buffer.format
-    return _np.frombuffer(buffer, dtype=_np.dtype(typecode))
+    return np.frombuffer(buffer, dtype=np.dtype(typecode))
 
 
 def _gather_rows(members, offsets, neighbors):
@@ -121,26 +80,26 @@ def _gather_rows(members, offsets, neighbors):
     repeat/cumsum gather — one vectorized pass, no per-row Python loop.
     """
     starts = offsets[members]
-    counts = (offsets[members + 1] - starts).astype(_np.int64)
+    counts = (offsets[members + 1] - starts).astype(np.int64)
     total = int(counts.sum())
     if total == 0:
-        return _np.empty(0, dtype=_np.int64), counts
+        return np.empty(0, dtype=np.int64), counts
     # Flat position k belongs to member i; its in-row offset is k minus the
     # exclusive prefix sum of counts, shifted to that member's row start.
-    ends = _np.cumsum(counts)
-    row_origin = _np.repeat(starts.astype(_np.int64) - (ends - counts), counts)
-    gather = row_origin + _np.arange(total, dtype=_np.int64)
-    return _np.asarray(neighbors)[gather].astype(_np.int64, copy=False), counts
+    ends = np.cumsum(counts)
+    row_origin = np.repeat(starts.astype(np.int64) - (ends - counts), counts)
+    gather = row_origin + np.arange(total, dtype=np.int64)
+    return np.asarray(neighbors)[gather].astype(np.int64, copy=False), counts
 
 
 def _segment_counts(mask, counts):
     """Per-segment popcount of ``mask`` under segment lengths ``counts``."""
-    sums = _np.zeros(len(counts), dtype=_np.int64)
+    sums = np.zeros(len(counts), dtype=np.int64)
     nonempty = counts > 0
     if mask.size:
-        boundaries = _np.cumsum(counts) - counts  # inclusive segment starts
-        sums[nonempty] = _np.add.reduceat(
-            mask.astype(_np.int64), boundaries[nonempty]
+        boundaries = np.cumsum(counts) - counts  # inclusive segment starts
+        sums[nonempty] = np.add.reduceat(
+            mask.astype(np.int64), boundaries[nonempty]
         )
     return sums
 
@@ -156,9 +115,9 @@ def seed_domain(members, min_degree, needed, offsets, neighbors, label_ids):
     and, for every ``(label_id, count)`` in ``needed`` (the pattern vertex's
     neighbor-label multiset), at least ``count`` neighbors carrying that
     label.  Returns the surviving members, still ascending — the exact set
-    the scalar per-vertex Counter scan keeps.
+    a per-vertex neighbor-label ``Counter`` scan keeps.
     """
-    members = _np.asarray(members, dtype=_np.int64)
+    members = np.asarray(members, dtype=np.int64)
     if members.size == 0:
         return members
     offsets = as_index_array(offsets)
@@ -168,7 +127,7 @@ def seed_domain(members, min_degree, needed, offsets, neighbors, label_ids):
         return members
     flat, counts = _gather_rows(members, offsets, as_index_array(neighbors))
     flat_labels = as_index_array(label_ids)[flat]
-    keep = _np.ones(members.size, dtype=bool)
+    keep = np.ones(members.size, dtype=bool)
     for lid, required in needed:
         keep &= _segment_counts(flat_labels == lid, counts) >= required
         if not keep.any():
@@ -178,11 +137,11 @@ def seed_domain(members, min_degree, needed, offsets, neighbors, label_ids):
 
 def ac_filter(dom_a, dom_b, offsets, neighbors):
     """One arc-consistency direction: members of ``dom_a`` with a neighbor in
-    ``dom_b`` (both sorted ascending).  Replaces the per-member bisect probes
-    of the scalar sweep with one gather + membership + segmented reduction.
+    ``dom_b`` (both sorted ascending), by one gather + membership +
+    segmented reduction instead of per-member bisect probes.
     """
-    dom_a = _np.asarray(dom_a, dtype=_np.int64)
-    dom_b = _np.asarray(dom_b, dtype=_np.int64)
+    dom_a = np.asarray(dom_a, dtype=np.int64)
+    dom_b = np.asarray(dom_b, dtype=np.int64)
     if dom_a.size == 0 or dom_b.size == 0:
         return dom_a[:0]
     flat, counts = _gather_rows(dom_a, as_index_array(offsets), as_index_array(neighbors))
@@ -192,11 +151,11 @@ def ac_filter(dom_a, dom_b, offsets, neighbors):
 
 def in_sorted(sorted_values, queries):
     """Boolean membership of ``queries`` in the sorted array ``sorted_values``."""
-    sorted_values = _np.asarray(sorted_values)
-    queries = _np.asarray(queries)
+    sorted_values = np.asarray(sorted_values)
+    queries = np.asarray(queries)
     if sorted_values.size == 0:
-        return _np.zeros(queries.shape, dtype=bool)
-    positions = _np.searchsorted(sorted_values, queries)
+        return np.zeros(queries.shape, dtype=bool)
+    positions = np.searchsorted(sorted_values, queries)
     positions[positions == sorted_values.size] = sorted_values.size - 1
     return sorted_values[positions] == queries
 
@@ -204,15 +163,14 @@ def in_sorted(sorted_values, queries):
 def intersect_sorted(base, *others):
     """Intersection of sorted index arrays, ascending (galloping membership).
 
-    The result preserves ``base``'s order, which is ascending for CSR rows —
-    exactly the enumeration order of the scalar shortest-row-with-bisects
-    pool, so search sequences are unchanged when this kernel drives them.
+    The result preserves ``base``'s order, which is ascending for CSR rows,
+    so a candidate pool built with it keeps the ascending enumeration order.
     """
-    result = _np.asarray(base)
+    result = np.asarray(base)
     for other in others:
         if result.size == 0:
             break
-        result = result[in_sorted(_np.asarray(other), result)]
+        result = result[in_sorted(np.asarray(other), result)]
     return result
 
 
@@ -225,15 +183,15 @@ def filter_rows(members, allowed, offsets, neighbors):
     is the precompute behind the matcher's candidate adjacency: one pass over
     all rows replaces a per-visit membership probe during search.
     """
-    members = _np.asarray(members, dtype=_np.int64)
-    allowed = _np.asarray(allowed, dtype=_np.int64)
+    members = np.asarray(members, dtype=np.int64)
+    allowed = np.asarray(allowed, dtype=np.int64)
     flat, counts = _gather_rows(members, as_index_array(offsets), as_index_array(neighbors))
     if flat.size == 0:
-        bounds = _np.zeros(members.size + 1, dtype=_np.int64)
+        bounds = np.zeros(members.size + 1, dtype=np.int64)
         return flat, bounds, 0
     mask = in_sorted(allowed, flat)
     kept = _segment_counts(mask, counts)
-    bounds = _np.concatenate(([0], _np.cumsum(kept)))
+    bounds = np.concatenate(([0], np.cumsum(kept)))
     return flat[mask], bounds, int(flat.size - int(kept.sum()))
 
 
@@ -256,7 +214,7 @@ def merge_postings(postings, num_ids):
     segment), long lists through per-list ``triu_indices``; duplicates across
     lists collapse via ``np.unique`` on ``a * num_ids + b`` encoded keys.
     Each returned pair has ``a < b`` (lists ascend), matching the nested-loop
-    scalar construction's edge set exactly.
+    construction's edge set exactly.
     """
     small_values = []
     small_lengths = []
@@ -269,20 +227,20 @@ def merge_postings(postings, num_ids):
             small_values.extend(ids)
             small_lengths.append(t)
         else:
-            arr = _np.asarray(ids, dtype=_np.int64)
-            ia, ib = _np.triu_indices(t, k=1)
+            arr = np.asarray(ids, dtype=np.int64)
+            ia, ib = np.triu_indices(t, k=1)
             pair_chunks.append(arr[ia] * num_ids + arr[ib])
     if small_lengths:
-        flat = _np.asarray(small_values, dtype=_np.int64)
-        lengths = _np.asarray(small_lengths, dtype=_np.int64)
-        segment = _np.repeat(_np.arange(lengths.size), lengths)
+        flat = np.asarray(small_values, dtype=np.int64)
+        lengths = np.asarray(small_lengths, dtype=np.int64)
+        segment = np.repeat(np.arange(lengths.size), lengths)
         for d in range(1, int(lengths.max())):
             same = segment[:-d] == segment[d:]
             if not same.any():
                 break
             pair_chunks.append(flat[:-d][same] * num_ids + flat[d:][same])
     if not pair_chunks:
-        empty = _np.empty(0, dtype=_np.int64)
+        empty = np.empty(0, dtype=np.int64)
         return empty, empty
-    encoded = _np.unique(_np.concatenate(pair_chunks))
+    encoded = np.unique(np.concatenate(pair_chunks))
     return encoded // num_ids, encoded % num_ids

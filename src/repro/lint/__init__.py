@@ -3,7 +3,7 @@
 Every load-bearing guarantee of this reproduction — bit-identical digests
 across backends and worker counts, result-neutral cache-key partitions,
 telemetry that provably cannot move cache keys, lock-disciplined shared
-state, numpy kernels with scalar fallbacks — used to be enforced only
+state, numpy confined to one kernel module — used to be enforced only
 *dynamically*, by parity tests that catch a violation after it ships.  This
 package moves those contracts into a dependency-free AST gate that fails a
 PR before a nondeterministic iteration or an unclassified config field ever
@@ -31,9 +31,7 @@ Layout
                            cheap check
                 LOCK001    lock-owned attributes mutated only under
                            ``with self._lock``; no blocking calls while held
-                KERN001    ``import numpy`` confined to ``graph/kernels.py``;
-                           kernel calls reachable only behind
-                           ``numpy_available()``
+                KERN001    ``import numpy`` confined to ``graph/kernels.py``
                 =========  ===================================================
 
 ``config``      :class:`LintConfig` (``--select`` / ``--ignore`` filtering)

@@ -9,8 +9,7 @@ One module per contract family:
   ``repro.obs``, ``registry.enabled`` cheap-check at hot call sites)
 * :mod:`.locks` — LOCK001 (lock-owned state mutated only under the lock,
   no blocking calls while holding it)
-* :mod:`.kernels` — KERN001 (numpy confined to ``graph/kernels.py``,
-  kernel dispatch guarded by ``numpy_available()``)
+* :mod:`.kernels` — KERN001 (numpy confined to ``graph/kernels.py``)
 """
 
 from . import cachekey, determinism, kernels, locks, obs  # noqa: F401

@@ -1,84 +1,31 @@
-"""KERN001 — the numpy kernel layer's confinement and dispatch contract.
+"""KERN001 — numpy is confined to the kernel layer.
 
-Two statically checkable halves of PR 6's design:
-
-* ``import numpy`` appears in exactly one module, ``repro/graph/kernels.py``.
-  Everything else consumes numpy through the kernel functions, which is what
-  keeps the package importable (and minable, slower) without numpy at all;
-* every call of a kernel entry point outside ``kernels.py`` is *reachable
-  only behind* a ``numpy_available()`` guard, so the scalar fallback branch
-  always exists.  Guardedness is resolved transitively: a call is guarded if
-  an enclosing ``if``/``while`` tests ``numpy_available()`` or a value
-  derived from it (``self._use_kernels = ... and kernels.numpy_available()``),
-  **or** if every call site of the enclosing function is itself guarded —
-  which is how dedicated kernel-path helpers
-  (``SubgraphMatcher._build_domains_csr_numpy``, ``FrozenGraph.csr_numpy``)
-  stay legal without repeating the guard inside.
+``import numpy`` appears in exactly one module, ``repro/graph/kernels.py``.
+Everything else consumes numpy through the kernel functions, so the array
+code the matcher and the overlap engine depend on lives in one module with
+its own parity tests (``tests/test_kernels.py``).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List
 
 from ..base import Rule, register
 from ..diagnostics import Diagnostic
-from ..project import Module, Project
+from ..project import Project
 
 KERNELS_MODULE = "repro/graph/kernels.py"
 
-#: The kernel entry points whose call sites must sit behind the guard.
-#: ``csr_numpy`` / ``label_members_np`` are the FrozenGraph views feeding
-#: them — calling either without numpy raises, so they share the contract.
-KERNEL_CALLS = {
-    "seed_domain",
-    "ac_filter",
-    "in_sorted",
-    "intersect_sorted",
-    "filter_rows",
-    "merge_postings",
-    "as_index_array",
-    "csr_numpy",
-    "label_members_np",
-}
-
-GUARD_FUNCTION = "numpy_available"
-
-
-def _simple_callee(call: ast.Call) -> Optional[str]:
-    """The last component of the callee name (``kernels.ac_filter`` → ``ac_filter``)."""
-    if isinstance(call.func, ast.Name):
-        return call.func.id
-    if isinstance(call.func, ast.Attribute):
-        return call.func.attr
-    return None
-
-
-def _contains_guard_call(node: ast.AST) -> bool:
-    for child in ast.walk(node):
-        if isinstance(child, ast.Call) and _simple_callee(child) == GUARD_FUNCTION:
-            return True
-    return False
-
 
 @register
-class KernelDispatchRule(Rule):
-    """KERN001: numpy confined to kernels.py; dispatch behind the guard."""
+class NumpyConfinementRule(Rule):
+    """KERN001: ``import numpy`` only in graph/kernels.py."""
 
     code = "KERN001"
-    summary = (
-        "`import numpy` only in graph/kernels.py; kernel calls must be "
-        "reachable only behind numpy_available() with a scalar fallback"
-    )
+    summary = "`import numpy` only in graph/kernels.py"
 
     def check(self, project: Project) -> Iterator[Diagnostic]:
-        yield from self._check_import_confinement(project)
-        yield from self._check_guarded_dispatch(project)
-
-    # ------------------------------------------------------------------ #
-    # half one: import confinement
-    # ------------------------------------------------------------------ #
-    def _check_import_confinement(self, project: Project) -> Iterator[Diagnostic]:
         for module in project.modules:
             if module.matches([KERNELS_MODULE]):
                 continue
@@ -94,145 +41,5 @@ class KernelDispatchRule(Rule):
                         node,
                         "`import numpy` is confined to repro/graph/kernels.py; "
                         "consume the vectorized path through the kernel "
-                        "functions so the scalar fallback stays total",
+                        "functions",
                     )
-
-    # ------------------------------------------------------------------ #
-    # half two: guarded dispatch
-    # ------------------------------------------------------------------ #
-    def _check_guarded_dispatch(self, project: Project) -> Iterator[Diagnostic]:
-        guard_names = self._guard_derived_names(project)
-        memo: Dict[int, Optional[bool]] = {}
-
-        for module in project.modules:
-            if module.matches([KERNELS_MODULE]):
-                continue
-            for node in module.walk():
-                if not isinstance(node, ast.Call):
-                    continue
-                callee = _simple_callee(node)
-                if callee not in KERNEL_CALLS:
-                    continue
-                if not self._call_guarded(project, module, node, guard_names, memo):
-                    yield self.diagnostic(
-                        module,
-                        node,
-                        f"kernel call {callee}() is reachable without a "
-                        f"numpy_available() guard; dispatch must branch on "
-                        f"the guard and keep a scalar fallback",
-                    )
-
-    @staticmethod
-    def _guard_derived_names(project: Project) -> Set[str]:
-        """Names/attrs assigned from an expression containing the guard call."""
-        names: Set[str] = {GUARD_FUNCTION, "HAVE_NUMPY"}
-        for module in project.modules:
-            for node in module.walk():
-                value = None
-                targets: List[ast.AST] = []
-                if isinstance(node, ast.Assign):
-                    value, targets = node.value, list(node.targets)
-                elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                    value, targets = node.value, [node.target]
-                if value is None or not _contains_guard_call(value):
-                    continue
-                for target in targets:
-                    if isinstance(target, ast.Name):
-                        names.add(target.id)
-                    elif isinstance(target, ast.Attribute):
-                        names.add(target.attr)
-        return names
-
-    def _call_guarded(
-        self,
-        project: Project,
-        module: Module,
-        call: ast.Call,
-        guard_names: Set[str],
-        memo: Dict[int, Optional[bool]],
-    ) -> bool:
-        if self._locally_guarded(module, call, guard_names):
-            return True
-        function = module.enclosing_function(call)
-        if function is None:
-            return False  # module level: nothing can have guarded it
-        return self._function_protected(project, function, guard_names, memo)
-
-    def _function_protected(
-        self,
-        project: Project,
-        function: ast.AST,
-        guard_names: Set[str],
-        memo: Dict[int, Optional[bool]],
-    ) -> bool:
-        """Whether every call site of ``function`` is guarded (transitively)."""
-        key = id(function)
-        cached = memo.get(key, "absent")
-        if cached != "absent":
-            # ``None`` marks in-progress: a call cycle proves nothing, so it
-            # conservatively counts as unguarded.
-            return bool(cached)
-        memo[key] = None
-        call_sites = self._call_sites_of(project, function.name)
-        protected = bool(call_sites)
-        for site_module, site_call in call_sites:
-            if self._locally_guarded(site_module, site_call, guard_names):
-                continue
-            site_function = site_module.enclosing_function(site_call)
-            if site_function is None or not self._function_protected(
-                project, site_function, guard_names, memo
-            ):
-                protected = False
-                break
-        memo[key] = protected
-        return protected
-
-    @staticmethod
-    def _call_sites_of(project: Project, name: str) -> List[Tuple[Module, ast.Call]]:
-        sites: List[Tuple[Module, ast.Call]] = []
-        for module in project.modules:
-            if module.matches([KERNELS_MODULE]):
-                continue
-            for node in module.walk():
-                if isinstance(node, ast.Call) and _simple_callee(node) == name:
-                    sites.append((module, node))
-        return sites
-
-    @staticmethod
-    def _locally_guarded(
-        module: Module, call: ast.Call, guard_names: Set[str]
-    ) -> bool:
-        """An enclosing if/while/assert in the same function tests the guard."""
-
-        def mentions_guard(node: ast.AST) -> bool:
-            for child in ast.walk(node):
-                if isinstance(child, ast.Name) and child.id in guard_names:
-                    return True
-                if isinstance(child, ast.Attribute) and child.attr in guard_names:
-                    return True
-            return False
-
-        function = module.enclosing_function(call)
-        for ancestor in module.ancestors(call):
-            if ancestor is function:
-                break
-            if isinstance(ancestor, (ast.If, ast.While, ast.IfExp)):
-                if mentions_guard(ancestor.test):
-                    return True
-            elif isinstance(ancestor, ast.BoolOp) and mentions_guard(ancestor):
-                return True
-        if function is None:
-            return False
-        # Early-raise/-return spelling before the call, at body top level.
-        for statement in function.body:
-            if statement.lineno >= call.lineno:
-                break
-            if (
-                isinstance(statement, ast.If)
-                and mentions_guard(statement.test)
-                and any(
-                    isinstance(s, (ast.Return, ast.Raise)) for s in statement.body
-                )
-            ):
-                return True
-        return False

@@ -6,8 +6,8 @@ spellings authors actually write::
 
     order = list(frontier)  # reprolint: disable=DET001  -- merge re-sorts
 
-    # reprolint: disable=KERN001  -- kernels.py is the defining module
-    rows = kernels.filter_rows(...)
+    # reprolint: disable=DET002  -- display-only timestamp, never digested
+    stamp = time.time()
 
 ``disable=all`` silences every rule on that line.  The policy (enforced by
 review, stated in ARCHITECTURE.md) is that every suppression carries a

@@ -186,13 +186,15 @@ class EmbeddingIndex:
         embeddings cost nothing beyond their postings.  Equal (same adjacency,
         same 0..n-1 key order) to :meth:`conflict_graph_all_pairs`.
 
-        When numpy is available and the postings carry enough pair work, the
-        pairing runs through :func:`repro.graph.kernels.merge_postings` —
-        bulk emission of unique conflicting pairs from the concatenated
-        posting arrays — instead of the nested per-posting Python loops; the
-        same id pair shared by many keys is then deduplicated once by
-        ``np.unique`` rather than re-touched per key.  Both constructions
-        fill the identical adjacency dict (scalar fallback retained below).
+        When the postings carry enough pair work
+        (``VECTOR_MERGE_MIN_TOUCHES``), the pairing runs through
+        :func:`repro.graph.kernels.merge_postings` — bulk emission of unique
+        conflicting pairs from the concatenated posting arrays — instead of
+        the nested per-posting Python loops; the same id pair shared by many
+        keys is then deduplicated once by ``np.unique`` rather than re-touched
+        per key.  Small inputs keep the nested loops, which cost less than
+        the numpy call overhead.  Both constructions fill the identical
+        adjacency dict.
         """
         n = len(self)
         registry = get_registry()
@@ -201,7 +203,7 @@ class EmbeddingIndex:
             registry.counter("overlap.embeddings", n)
         conflict: ConflictGraph = {i: set() for i in range(n)}
         postings = self.postings(edge_based).values()
-        if kernels.numpy_available() and n >= 2:
+        if n >= 2:
             touches = sum(
                 len(ids) * (len(ids) - 1) // 2 for ids in postings if len(ids) > 1
             )

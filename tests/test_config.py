@@ -34,6 +34,24 @@ class TestValidation:
         with pytest.raises(ValueError):
             SpiderMineConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "max_spiders",
+            "max_embeddings_per_pattern",
+            "max_patterns_per_iteration",
+            "max_occurrences_grown_per_entry",
+            "max_extensions_per_boundary",
+        ],
+    )
+    def test_truncation_caps_below_one_raise(self, field):
+        # A negative cap would keep all but the last |cap| items via
+        # ``items[:cap]``; zero would still keep one occurrence in growth.
+        for value in (0, -1):
+            with pytest.raises(ValueError, match=field):
+                SpiderMineConfig(**{field: value})
+        assert getattr(SpiderMineConfig(**{field: 1}), field) == 1
+
     def test_support_measure_coerced_from_string(self):
         config = SpiderMineConfig(support_measure="edge_disjoint")
         assert config.support_measure is SupportMeasure.EDGE_DISJOINT

@@ -2,19 +2,21 @@
 
 The contract being pinned:
 
-* every kernel in :mod:`repro.graph.kernels` computes exactly what its
-  scalar counterpart computes — checked against naive pure-Python references
-  over randomized inputs (seed filter, arc consistency, sorted membership /
-  intersection, bulk row filtering, posting-pair merge);
-* the matcher produces **digest-identical** embeddings with kernels enabled
-  and with :func:`repro.graph.kernels.scalar_fallback` forced, across
-  {induced, monomorphic} × {anchored, free} on random graphs (hypothesis) —
-  and on the dict/reference axes already pinned by ``test_matcher_parity``;
-* the kernel free-search *sequence* equals the scalar CSR sequence (both
-  ascend candidate pools), which is what keeps mining digests stable;
-* ``EmbeddingIndex.conflict_graph`` builds the identical adjacency through
-  the vectorized posting merge and through the scalar nested loops, above
-  and below the ``VECTOR_MERGE_MIN_TOUCHES`` dispatch threshold;
+* every kernel in :mod:`repro.graph.kernels` computes exactly what a naive
+  pure-Python reference computes over randomized inputs (seed filter, arc
+  consistency, sorted membership / intersection, bulk row filtering,
+  posting-pair merge);
+* the CSR matcher, which runs on those kernels, produces
+  **digest-identical** anchored batches to the dict path, across
+  {induced, monomorphic} on random graphs (hypothesis) — the reference axis
+  is pinned by ``test_matcher_parity``;
+* the CSR free search yields its embeddings in strictly ascending
+  index-space order (each embedding read as the tuple of its target indices
+  in the matcher's matching order), which is what keeps mining digests
+  stable;
+* ``EmbeddingIndex.conflict_graph`` builds the same adjacency as the
+  all-pairs reference, above and below the ``VECTOR_MERGE_MIN_TOUCHES``
+  dispatch threshold;
 * :func:`repro.graph.kernels.as_index_array` is zero-copy over
   ``array.array``, typed ``memoryview`` and ``np.ndarray`` buffers.
 """
@@ -24,7 +26,7 @@ from __future__ import annotations
 import random
 from array import array
 
-import pytest
+import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.graph import LabeledGraph, SubgraphMatcher, freeze, kernels, matcher_digest
@@ -33,8 +35,6 @@ from repro.patterns.overlap import (
     EmbeddingIndex,
     conflict_digest,
 )
-
-np = pytest.importorskip("numpy")
 
 LABELS = ["A", "B", "C"]
 
@@ -66,36 +66,6 @@ def random_csr(rng, n, avg_degree=3.0):
 
 def row(offsets, neighbors, u):
     return list(neighbors[offsets[u]:offsets[u + 1]])
-
-
-# --------------------------------------------------------------------------- #
-# dispatch plumbing
-# --------------------------------------------------------------------------- #
-class TestDispatch:
-    def test_numpy_available_here(self):
-        assert kernels.HAVE_NUMPY
-        assert kernels.numpy_available()
-
-    def test_scalar_fallback_flips_and_restores(self):
-        assert kernels.numpy_available()
-        with kernels.scalar_fallback():
-            assert not kernels.numpy_available()
-            with kernels.scalar_fallback():
-                assert not kernels.numpy_available()
-            assert not kernels.numpy_available()  # nesting restores outer True
-        assert kernels.numpy_available()
-
-    def test_matcher_captures_dispatch_at_construction(self):
-        graph = LabeledGraph()
-        graph.add_vertex(0, "A")
-        graph.add_vertex(1, "A")
-        graph.add_edge(0, 1)
-        pattern = LabeledGraph()
-        pattern.add_vertex(0, "A")
-        with kernels.scalar_fallback():
-            scalar = SubgraphMatcher(pattern, freeze(graph))
-        assert not scalar._use_kernels
-        assert SubgraphMatcher(pattern, freeze(graph))._use_kernels
 
 
 # --------------------------------------------------------------------------- #
@@ -240,7 +210,7 @@ class TestKernelUnits:
 
 
 # --------------------------------------------------------------------------- #
-# hypothesis parity: kernel matcher vs scalar-fallback matcher
+# hypothesis parity: the kernel-backed CSR matcher
 # --------------------------------------------------------------------------- #
 @st.composite
 def graph_and_pattern(draw):
@@ -276,65 +246,36 @@ def graph_and_pattern(draw):
 class TestMatcherParityAcrossDispatch:
     @PARITY_SETTINGS
     @given(data=graph_and_pattern(), induced=st.booleans())
-    def test_free_search_sequence_identical(self, data, induced):
+    def test_free_search_sequence_ascends(self, data, induced):
         graph, pattern = data
         frozen = freeze(graph)
-        kernel_found = SubgraphMatcher(pattern, frozen, induced=induced).find_embeddings()
-        with kernels.scalar_fallback():
-            scalar_found = SubgraphMatcher(
-                pattern, frozen, induced=induced
-            ).find_embeddings()
-        # Both CSR paths iterate candidate pools ascending, so the *sequence*
-        # (not just the set) must match — the mining-digest invariant.
-        assert kernel_found == scalar_found
+        matcher = SubgraphMatcher(pattern, frozen, induced=induced)
+        found = matcher.find_embeddings()
+        # Candidate pools ascend, so the embeddings' target-index tuples,
+        # taken in matching order, strictly increase — the mining-digest
+        # invariant.
+        keys = [
+            tuple(frozen.index_of(mapping[p]) for p in matcher._order)
+            for mapping in found
+        ]
+        assert keys == sorted(set(keys))
 
     @PARITY_SETTINGS
     @given(data=graph_and_pattern(), induced=st.booleans())
     def test_anchored_batch_digest_identical(self, data, induced):
         graph, pattern = data
-        frozen = freeze(graph)
         p_anchor = next(iter(pattern.vertices()))
-        kernel_batch = [
-            m
-            for _, m in SubgraphMatcher(
-                pattern, frozen, induced=induced
-            ).iter_anchored(p_anchor)
-        ]
-        with kernels.scalar_fallback():
-            scalar_batch = [
+        dict_batch, csr_batch = (
+            [
                 m
                 for _, m in SubgraphMatcher(
-                    pattern, frozen, induced=induced
+                    pattern, target, induced=induced
                 ).iter_anchored(p_anchor)
             ]
-        assert matcher_digest(kernel_batch) == matcher_digest(scalar_batch)
-        assert len(kernel_batch) == len(scalar_batch)
-
-    @PARITY_SETTINGS
-    @given(data=graph_and_pattern(), induced=st.booleans())
-    def test_domains_identical(self, data, induced):
-        graph, pattern = data
-        frozen = freeze(graph)
-        kernel_sizes = SubgraphMatcher(pattern, frozen, induced=induced).domain_sizes()
-        with kernels.scalar_fallback():
-            scalar_sizes = SubgraphMatcher(
-                pattern, frozen, induced=induced
-            ).domain_sizes()
-        assert kernel_sizes == scalar_sizes
-
-    @PARITY_SETTINGS
-    @given(data=graph_and_pattern())
-    def test_candidate_tests_counter_preserved(self, data):
-        graph, pattern = data
-        frozen = freeze(graph)
-        kernel_matcher = SubgraphMatcher(pattern, frozen)
-        kernel_matcher.find_embeddings()
-        with kernels.scalar_fallback():
-            scalar_matcher = SubgraphMatcher(pattern, frozen)
-            scalar_matcher.find_embeddings()
-        assert (
-            kernel_matcher.stats.candidate_tests == scalar_matcher.stats.candidate_tests
+            for target in (graph, freeze(graph))
         )
+        assert matcher_digest(csr_batch) == matcher_digest(dict_batch)
+        assert len(csr_batch) == len(dict_batch)
 
 
 # --------------------------------------------------------------------------- #
@@ -366,9 +307,6 @@ class TestConflictGraphParity:
         touches = index.pair_stats()["posting_pair_touches"]
         assert touches >= VECTOR_MERGE_MIN_TOUCHES  # vectorized branch active
         vectorized = index.conflict_graph()
-        with kernels.scalar_fallback():
-            scalar = EmbeddingIndex(vertex_images=images).conflict_graph()
-        assert conflict_digest(vectorized) == conflict_digest(scalar)
         assert conflict_digest(vectorized) == conflict_digest(
             index.conflict_graph_all_pairs()
         )

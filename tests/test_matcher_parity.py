@@ -9,7 +9,9 @@ The contract being pinned:
 * on the dict backend the free-search embedding *sequence* is byte-identical
   to the reference — domain filtering is pruning-only, which is what keeps
   mining result digests stable across the engine swap;
-* dict-path and csr-path digests agree (:func:`repro.graph.matcher_digest`);
+* dict-path and csr-path digests agree (:func:`repro.graph.matcher_digest`),
+  and so do their candidate domains;
+* ``limit`` / ``limit_per_anchor`` cap every query exactly, ``0`` included;
 * domain filtering (label / degree / neighbor-signature) and the one-pass
   arc-consistency refinement prune exactly the vertices they claim to, and an
   empty domain answers the query with zero search;
@@ -194,15 +196,16 @@ class TestDomainFiltering:
         sizes = matcher.domain_sizes()
         assert sizes[0] == 2  # vertices 0 and 4, never leaf 1
 
-    def test_domains_agree_across_backends(self):
-        target = self.target_star()
-        pattern = LabeledGraph()
-        pattern.add_vertex(0, "A")
-        pattern.add_vertex(1, "B")
-        pattern.add_edge(0, 1)
-        dict_sizes = SubgraphMatcher(pattern, target).domain_sizes()
-        csr_sizes = SubgraphMatcher(pattern, freeze(target)).domain_sizes()
-        assert dict_sizes == csr_sizes
+    @PARITY_SETTINGS
+    @given(data=graph_and_pattern())
+    def test_domains_agree_across_backends(self, data):
+        graph, pattern = data
+        dict_matcher = SubgraphMatcher(pattern, graph)
+        csr_matcher = SubgraphMatcher(pattern, freeze(graph))
+        sizes = dict_matcher.domain_sizes()
+        assert csr_matcher.domain_sizes() == sizes
+        for p in sizes:
+            assert csr_matcher._domain_ids(p) == dict_matcher._domain_ids(p)
 
     def test_empty_domain_short_circuits_before_search(self):
         # Pattern asks for an A with two B neighbors; no target vertex has that.
@@ -267,6 +270,29 @@ class TestDomainFiltering:
             assert matcher.stats.empty_domain_cutoffs == 1
             assert matcher.stats.searches == 0
             assert matcher.stats.candidate_tests == 0
+
+
+# --------------------------------------------------------------------------- #
+# limits
+# --------------------------------------------------------------------------- #
+class TestLimits:
+    @pytest.mark.parametrize("limit", [0, 1, 2])
+    @pytest.mark.parametrize("engine", ["reference", "dict", "csr"])
+    def test_limit_caps_every_query(self, engine, limit):
+        # A 1-edge pattern on a 4-vertex path: 6 embeddings, and anchored at
+        # the pattern's vertex 0 the end vertices host 1 each, the inner 2.
+        graph = build_graph(4, [(0, 1), (1, 2), (2, 3)], ["A"])
+        pattern = build_graph(2, [(0, 1)], ["A"])
+        if engine == "reference":
+            matcher = ReferenceSubgraphMatcher(pattern, graph)
+        else:
+            matcher = SubgraphMatcher(pattern, freeze(graph) if engine == "csr" else graph)
+        assert len(matcher.find_embeddings(limit=limit)) == limit
+        assert len(matcher.find_embeddings(limit=limit, anchor=(0, 1))) == limit
+        assert matcher.count(limit=limit) == limit
+        if engine != "reference":
+            anchored = list(matcher.iter_anchored(0, limit_per_anchor=limit))
+            assert len(anchored) == {0: 0, 1: 4, 2: 6}[limit]
 
 
 # --------------------------------------------------------------------------- #
