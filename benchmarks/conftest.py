@@ -6,8 +6,9 @@ harness finishes in minutes on a laptop, but every module exposes its
 parameters at the top so the paper's full scale can be requested.
 
 Benchmarks print the regenerated rows/series to stdout (run pytest with
-``-s`` to see them) and write JSON records under ``benchmarks/results/`` so
-EXPERIMENTS.md can cite the measured numbers.
+``-s`` to see them) and write JSON records under ``benchmarks/.results/``.
+That directory is git-ignored, so a test run never rewrites tracked files;
+``benchmarks/results/`` holds the committed snapshot of those records.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-RESULTS_DIR = Path(__file__).resolve().parent / "results"
+RESULTS_DIR = Path(__file__).resolve().parent / ".results"
 
 
 @pytest.fixture(scope="session")

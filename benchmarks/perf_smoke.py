@@ -1180,6 +1180,7 @@ def run_obs_suite(profile):
         "mine.stage1",
         "mine.stage2",
         "mine.stage3",
+        "mine.report",
     ], "span tree missing stages"
 
     plain = min(times["off"])

@@ -28,7 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..graph.canonical import canonical_code
+# ``canonical_code`` stays importable from this module for callers that
+# patch or time it here; occurrences are coded through ``labelled_code``.
+from ..graph.canonical import canonical_code, labelled_code  # noqa: F401
 from ..graph.isomorphism import SubgraphMatcher
 from ..graph.labeled_graph import LabeledGraph, Vertex, normalise_edge
 from ..graph.view import GraphView
@@ -108,12 +110,7 @@ class CandidateEntry:
 
 def occurrence_code(data_graph: GraphView, occurrence: Occurrence) -> str:
     """Canonical code of the pattern an occurrence realises."""
-    sub = LabeledGraph()
-    for v in occurrence.vertices:
-        sub.add_vertex(v, data_graph.label(v))
-    for u, v in occurrence.edges:
-        sub.add_edge(u, v)
-    return canonical_code(sub)
+    return labelled_code(occurrence.vertices, data_graph.label, occurrence.edges)
 
 
 def occurrence_subgraph(data_graph: GraphView, occurrence: Occurrence) -> LabeledGraph:
@@ -129,6 +126,19 @@ def occurrence_subgraph(data_graph: GraphView, occurrence: Occurrence) -> Labele
 # ---------------------------------------------------------------------- #
 # occurrence-level support
 # ---------------------------------------------------------------------- #
+def occurrence_key(occurrence: Occurrence, measure: Optional[SupportMeasure] = None) -> object:
+    """The identity under which ``measure`` counts an occurrence once.
+
+    Vertex sets for the vertex-overlap measures (and when no measure is
+    given); edge sets for the edge-disjoint measure, where two occurrences on
+    the same vertices through different data edges are distinct witnesses.
+    An edgeless occurrence keys on its vertices.
+    """
+    if measure is SupportMeasure.EDGE_DISJOINT:
+        return ("e", occurrence.edges) if occurrence.edges else ("v", occurrence.vertices)
+    return occurrence.vertices
+
+
 def occurrence_support(
     occurrences: Sequence[Occurrence],
     measure: SupportMeasure,
@@ -136,20 +146,13 @@ def occurrence_support(
 ) -> int:
     """Support of a pattern given its distinct occurrences.
 
-    Deduplication follows the measure's conflict notion: vertex sets for the
-    vertex-overlap measures, edge sets for the edge-disjoint measure (two
-    occurrences on the same vertices through different data edges are distinct
-    edge-disjoint witnesses; an edgeless occurrence dedupes on its vertices).
+    Occurrences are deduplicated by :func:`occurrence_key` under ``measure``.
     The conflict graph comes from the shared inverted-index overlap engine.
     """
-    edge_based = measure is SupportMeasure.EDGE_DISJOINT
     seen: Set[object] = set()
     items: List[Occurrence] = []
     for occ in occurrences:
-        if edge_based:
-            key = ("e", occ.edges) if occ.edges else ("v", occ.vertices)
-        else:
-            key = occ.vertices
+        key = occurrence_key(occ, measure)
         if key in seen:
             continue
         seen.add(key)
@@ -157,16 +160,22 @@ def occurrence_support(
     if measure is SupportMeasure.EMBEDDING_IMAGES:
         return len(items)
     index = EmbeddingIndex.from_occurrences(items)
-    conflict = index.conflict_graph(edge_based=edge_based)
+    conflict = index.conflict_graph(edge_based=measure is SupportMeasure.EDGE_DISJOINT)
     return independent_set_size(conflict, exact_limit)
 
 
-def occurrences_to_pattern(data_graph: GraphView, occurrences: Sequence[Occurrence]) -> Pattern:
+def occurrences_to_pattern(
+    data_graph: GraphView,
+    occurrences: Sequence[Occurrence],
+    measure: Optional[SupportMeasure] = None,
+) -> Pattern:
     """Convert a group of same-code occurrences into a :class:`Pattern` object.
 
     The pattern graph is the first occurrence's subgraph relabeled onto
-    ``0..n-1``; each occurrence contributes one embedding found by matching
-    the pattern graph inside the occurrence subgraph.
+    ``0..n-1``; each occurrence that is distinct under ``measure`` (see
+    :func:`occurrence_key`) contributes one embedding found by matching the
+    pattern graph inside the occurrence subgraph, so the pattern carries the
+    witnesses its support counted.
     """
     if not occurrences:
         raise ValueError("cannot build a pattern from zero occurrences")
@@ -175,9 +184,10 @@ def occurrences_to_pattern(data_graph: GraphView, occurrences: Sequence[Occurren
     rename = {v: i for i, v in enumerate(order)}
     pattern_graph = first.relabeled(rename)
     embeddings: List[Embedding] = []
-    seen_images: Set[FrozenSet[Vertex]] = set()
+    seen: Set[object] = set()
     for occ in occurrences:
-        if occ.vertices in seen_images:
+        key = occurrence_key(occ, measure)
+        if key in seen:
             continue
         sub = occurrence_subgraph(data_graph, occ)
         matcher = SubgraphMatcher(pattern_graph, sub, induced=False)
@@ -185,7 +195,7 @@ def occurrences_to_pattern(data_graph: GraphView, occurrences: Sequence[Occurren
         if not found:
             continue
         embeddings.append(Embedding.from_dict(found[0]))
-        seen_images.add(occ.vertices)
+        seen.add(key)
     return Pattern(graph=pattern_graph, embeddings=embeddings)
 
 

@@ -165,7 +165,8 @@ class SpiderMine:
                 entries = next_entries
         statistics.num_candidates_generated = engine.candidates_generated
 
-        patterns = self._report(archive)
+        with tracer.span("mine.report"):
+            patterns = self._report(archive)
         runtime = time.perf_counter() - start
         registry = get_registry()
         if registry.enabled:
@@ -214,21 +215,45 @@ class SpiderMine:
     # stage III reporting
     # ------------------------------------------------------------------ #
     def _report(self, archive: Dict[str, CandidateEntry]) -> List[Pattern]:
-        """Convert surviving candidates to Pattern objects and keep the top-K."""
+        """The top-K largest surviving candidates, building only those visited.
+
+        Entries are ranked by ``(|V|, |E|, code)``, descending, before any
+        :class:`Pattern` exists: every occurrence of an entry has the
+        pattern's |V| and |E|, and the archive key is the pattern's canonical
+        code, so the key is total and ranks exactly as the built patterns
+        would.  Entries are then visited in rank order and filtered — support,
+        ``min_vertices_reported`` (the first failure ends the scan, since |V|
+        only falls from there) and diameter — until K survive.  Only the
+        entries visited are converted, each with the embeddings the support
+        measure counts as distinct.  Each reported pattern's code is checked
+        against its key, the premise of the ranking; the digest and the
+        catalog read that cached code anyway.
+        """
         config = self.config
-        candidates: List[Pattern] = []
-        for entry in archive.values():
+
+        def rank(item):
+            code, entry = item
+            first = entry.occurrences[0]
+            return (first.num_vertices, first.num_edges, code)
+
+        patterns: List[Pattern] = []
+        for code, entry in sorted(archive.items(), key=rank, reverse=True):
+            if len(patterns) >= config.k:
+                break
             support = occurrence_support(entry.occurrences, config.support_measure)
             if support < config.min_support:
                 continue
-            pattern = occurrences_to_pattern(self.graph, entry.occurrences)
-            if pattern.num_vertices < config.min_vertices_reported:
-                continue
+            if entry.occurrences[0].num_vertices < config.min_vertices_reported:
+                break
+            pattern = occurrences_to_pattern(
+                self.graph, entry.occurrences, config.support_measure
+            )
             if graph_diameter(pattern.graph) > config.d_max:
                 continue
-            candidates.append(pattern)
-        candidates.sort(key=lambda p: (p.num_vertices, p.num_edges, p.code), reverse=True)
-        return candidates[: config.k]
+            if pattern.code != code:
+                raise RuntimeError(f"archive key {code!r} is not its pattern's code")
+            patterns.append(pattern)
+        return patterns
 
 
 def mine_top_k_patterns(

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Counter as CounterType, Dict, List, Optional, Tuple
 
 from ..graph.algorithms import bfs_distances, is_r_bounded_from
-from ..graph.canonical import canonical_code
+from ..graph.canonical import labelled_code
 from ..graph.isomorphism import SubgraphMatcher, embedding_edge_image
 from ..graph.labeled_graph import LabeledGraph, Vertex
 from ..graph.view import GraphView
@@ -133,15 +133,10 @@ def head_distinguished_code(graph: LabeledGraph, head: Vertex) -> str:
     Isomorphic spiders whose isomorphism maps head to head — and only those —
     receive equal codes.
     """
-    tagged = LabeledGraph()
-    for v in graph.vertices():
-        label = graph.label(v)
-        if v == head:
-            label = f"{label}{_HEAD_TAG}"
-        tagged.add_vertex(v, label)
-    for u, v in graph.edges():
-        tagged.add_edge(u, v)
-    return canonical_code(tagged)
+    def label(v: Vertex):
+        return f"{graph.label(v)}{_HEAD_TAG}" if v == head else graph.label(v)
+
+    return labelled_code(graph.vertices(), label, graph.edges())
 
 
 def extract_spider(

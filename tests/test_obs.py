@@ -342,7 +342,7 @@ class TestTelemetrySidecar:
         assert payload["run_id"] == run_id
         assert payload["metrics"]["counters"]["mine.runs"] == 1
         assert [s["name"] for s in payload["spans"]] == [
-            "mine.stage1", "mine.stage2", "mine.stage3",
+            "mine.stage1", "mine.stage2", "mine.stage3", "mine.report",
         ]
         assert payload["statistics"]["num_spiders"] > 0
 

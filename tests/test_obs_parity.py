@@ -77,7 +77,7 @@ def test_digests_identical_across_telemetry_modes(planted, backend, workers):
 
     _, tracer = collected["trace"]
     roots = tracer.roots()
-    assert [r.name for r in roots] == ["mine.stage1", "mine.stage2", "mine.stage3"]
+    assert [r.name for r in roots] == ["mine.stage1", "mine.stage2", "mine.stage3", "mine.report"]
     stage1 = roots[0]
     assert stage1.children, "per-unit spans missing (serial record / worker merge)"
     assert all(c.name == "mine.stage1.unit" for c in stage1.children)

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+
+import pytest
 
 from repro import SpiderMine, SpiderMineConfig, mine_top_k_patterns
+from repro.core.growth import occurrence_support, occurrences_to_pattern
 from repro.analysis import recovery_rate
 from repro.graph import LabeledGraph, diameter, synthetic_single_graph
 from repro.patterns import SupportMeasure, compute_support
@@ -131,3 +135,105 @@ class TestConfigurationEffects:
             two_copy_graph, min_support=2, k=2, d_max=2, max_seed_count=2
         )
         assert result.statistics.num_seeds <= 2
+
+
+class TestEdgeDisjointWitnesses:
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_reported_patterns_carry_edge_disjoint_witnesses(self, n):
+        """A same-label clique: occurrences share vertex sets but not edge sets."""
+        graph = LabeledGraph()
+        for v in range(n):
+            graph.add_vertex(v, "A")
+        for u in range(n):
+            for v in range(u + 1, n):
+                graph.add_edge(u, v)
+        config = SpiderMineConfig(
+            min_support=2, k=5, d_max=4, seed=0,
+            support_measure=SupportMeasure.EDGE_DISJOINT,
+        )
+        result = SpiderMine(graph, config).mine()
+        assert result.patterns
+        for pattern in result.patterns:
+            images = {e.edge_image(pattern.graph) for e in pattern.embeddings}
+            assert len(images) == len(pattern.embeddings)
+            assert len(images) >= config.min_support, pattern
+            assert pattern.verify_embeddings(graph)
+
+
+def _eager_report(graph, config, archive):
+    """Materialise every archive entry, filter, sort and slice."""
+    candidates = []
+    for entry in archive.values():
+        if occurrence_support(entry.occurrences, config.support_measure) < config.min_support:
+            continue
+        pattern = occurrences_to_pattern(graph, entry.occurrences, config.support_measure)
+        if pattern.num_vertices < config.min_vertices_reported:
+            continue
+        if diameter(pattern.graph) > config.d_max:
+            continue
+        candidates.append(pattern)
+    candidates.sort(key=lambda p: (p.num_vertices, p.num_edges, p.code), reverse=True)
+    return candidates[: config.k]
+
+
+@pytest.fixture(scope="module")
+def report_archive(planted_dataset):
+    """The Stage-III archive of a planted-dataset mine, captured at ``_report``."""
+    captured = {}
+    original = SpiderMine._report
+
+    def spy(self, archive):
+        captured["archive"] = archive
+        return original(self, archive)
+
+    SpiderMine._report = spy
+    try:
+        config = SpiderMineConfig(min_support=2, k=5, d_max=6, seed=0)
+        SpiderMine(planted_dataset.graph, config).mine()
+    finally:
+        SpiderMine._report = original
+    return captured["archive"]
+
+
+class TestLazyReport:
+    BASE = SpiderMineConfig(min_support=2, k=5, d_max=6, seed=0)
+
+    @pytest.mark.parametrize("changes", [
+        {"k": 3},
+        {"k": 1000},
+        {"k": 1000, "min_vertices_reported": 9},
+        {"k": 5, "d_max": 3},
+        {"k": 4, "min_support": 3},
+    ], ids=["small-k", "k-beyond-archive", "min-vertices-cuts", "small-dmax", "support-cuts"])
+    def test_matches_the_eager_report(self, planted_dataset, report_archive, changes):
+        graph = planted_dataset.graph
+        config = dataclasses.replace(self.BASE, **changes)
+        lazy = SpiderMine(graph, config)._report(report_archive)
+        eager = _eager_report(graph, config, report_archive)
+        assert [p.code for p in lazy] == [p.code for p in eager]
+        assert [p.embeddings for p in lazy] == [p.embeddings for p in eager]
+        assert [sorted(p.graph.edges()) for p in lazy] == [sorted(p.graph.edges()) for p in eager]
+
+    def test_the_cases_cut(self, planted_dataset, report_archive):
+        """Guard against vacuous parity: the filters above really reject entries."""
+        graph = planted_dataset.graph
+        sizes = [e.occurrences[0].num_vertices for e in report_archive.values()]
+        assert len(report_archive) > 5 and min(sizes) < 9 <= max(sizes)
+        diameters = [diameter(occurrences_to_pattern(graph, e.occurrences).graph)
+                     for e in report_archive.values()]
+        assert min(diameters) <= 3 < max(diameters)
+
+    def test_a_key_that_is_not_its_pattern_code_is_refused(
+        self, planted_dataset, report_archive
+    ):
+        tampered = {f"{code}~": entry for code, entry in report_archive.items()}
+        with pytest.raises(RuntimeError, match="is not its pattern's code"):
+            SpiderMine(planted_dataset.graph, self.BASE)._report(tampered)
+
+    def test_every_archive_key_is_its_pattern_code(self, planted_dataset, report_archive):
+        graph = planted_dataset.graph
+        for code, entry in report_archive.items():
+            assert occurrences_to_pattern(graph, entry.occurrences).code == code
+        config = dataclasses.replace(self.BASE, k=1000)
+        for pattern in SpiderMine(graph, config)._report(report_archive):
+            assert pattern.code in report_archive
