@@ -29,8 +29,9 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 # ``canonical_code`` stays importable from this module for callers that
-# patch or time it here; occurrences are coded through ``labelled_code``.
-from ..graph.canonical import canonical_code, labelled_code  # noqa: F401
+# patch or time it here; occurrences are coded through a ``CodeTable`` or
+# ``labelled_canonical``.
+from ..graph.canonical import CodeTable, canonical_code, labelled_canonical  # noqa: F401
 from ..graph.isomorphism import SubgraphMatcher
 from ..graph.labeled_graph import LabeledGraph, Vertex, normalise_edge
 from ..graph.view import GraphView
@@ -108,9 +109,31 @@ class CandidateEntry:
     frontier: Optional[Set[Vertex]] = None   # data vertices added by the last growth step
 
 
-def occurrence_code(data_graph: GraphView, occurrence: Occurrence) -> str:
-    """Canonical code of the pattern an occurrence realises."""
-    return labelled_code(occurrence.vertices, data_graph.label, occurrence.edges)
+def occurrence_code(
+    data_graph: GraphView, occurrence: Occurrence, table: Optional[CodeTable] = None
+) -> str:
+    """Canonical code of the pattern an occurrence realises.
+
+    ``table`` is ``data_graph``'s :class:`CodeTable`, for callers that code
+    many occurrences of one graph; the code is the same with or without it.
+    """
+    if table is None:
+        return labelled_canonical(occurrence.vertices, data_graph.label, occurrence.edges)[1]
+    return table.code(occurrence.vertices, occurrence.edges)
+
+
+def _inside_one(
+    mask: int, occurrence: Occurrence, masks: Sequence[int], bigger: Sequence[Occurrence]
+) -> bool:
+    """Whether ``occurrence`` lies inside one of ``bigger``, vertices and edges.
+
+    ``mask`` and ``masks`` are the vertex masks of ``occurrence`` and of each
+    of ``bigger`` (see :meth:`GrowthEngine._vmask`).
+    """
+    for big_mask, big in zip(masks, bigger):
+        if not mask & ~big_mask and occurrence.edges <= big.edges:
+            return True
+    return False
 
 
 def occurrence_subgraph(data_graph: GraphView, occurrence: Occurrence) -> LabeledGraph:
@@ -213,6 +236,12 @@ class GrowthEngine:
     ) -> None:
         self.data_graph = data_graph
         self.config = config
+        # Every occurrence-containment test runs on vertex masks: data vertex
+        # -> its own bit, so a vertex subset test is one ``&``.
+        self._bit: Dict[Vertex, int] = {
+            v: 1 << i for i, v in enumerate(data_graph.vertices())
+        }
+        self._code_table = CodeTable(data_graph)
         # Pre-convert the spider index to occurrences once, keeping only the
         # *maximal* occurrences at each head: a spider occurrence whose vertex
         # set is contained in another occurrence at the same head can never
@@ -232,10 +261,12 @@ class GrowthEngine:
             # grow the pattern faster (fewer, bigger steps).
             occs.sort(key=lambda o: (o.num_vertices, o.num_edges), reverse=True)
             maximal: List[Occurrence] = []
+            maximal_masks: List[int] = []
             for occ in occs:
-                if not any(occ.vertices <= bigger.vertices and occ.edges <= bigger.edges
-                           for bigger in maximal):
+                mask = self._vmask(occ.vertices)
+                if not _inside_one(mask, occ, maximal_masks, maximal):
                     maximal.append(occ)
+                    maximal_masks.append(mask)
             self._spider_occurrences[head] = maximal
         # Memoised occurrence codes: the same (vertices, edges) pair is coded
         # many times across growth iterations and merge checks.
@@ -248,9 +279,13 @@ class GrowthEngine:
         key = (occurrence.vertices, occurrence.edges)
         cached = self._code_cache.get(key)
         if cached is None:
-            cached = occurrence_code(self.data_graph, occurrence)
+            cached = occurrence_code(self.data_graph, occurrence, self._code_table)
             self._code_cache[key] = cached
         return cached
+
+    def _vmask(self, vertices: FrozenSet[Vertex]) -> int:
+        """The int with the bit of every vertex in ``vertices`` set (distinct bits: a sum)."""
+        return sum(map(self._bit.__getitem__, vertices))
 
     # ------------------------------------------------------------------ #
     def seed_entries(self, seeds: Sequence[Spider]) -> Dict[str, CandidateEntry]:
@@ -506,12 +541,20 @@ class GrowthEngine:
     def _prune_subsumed(self, entries: Dict[str, CandidateEntry]) -> Dict[str, CandidateEntry]:
         """Drop candidates fully covered by a larger candidate.
 
-        An entry A is *subsumed* by entry B when every occurrence of A is a
-        vertex-subset of some occurrence of B.  A is then a sub-pattern of B
-        with no additional support evidence, so — since the miner only looks
-        for the top-K *largest* patterns — keeping A merely multiplies the
-        next iteration's work.  The merged flag of A is propagated to B so
-        Stage-II pruning never loses merge evidence.
+        An entry A is *subsumed* by entry B when every occurrence of A lies
+        inside a single occurrence of B, vertices and edges.  A is then a
+        sub-pattern of B with no additional support evidence, so — since the
+        miner only looks for the top-K *largest* patterns — keeping A merely
+        multiplies the next iteration's work.  The merged flag of A is
+        propagated to B so Stage-II pruning never loses merge evidence.
+
+        Entries are visited largest first and each kept one gets a slot bit.
+        A data vertex's slot mask names the kept entries with an occurrence
+        on it, so AND-ing the masks over the vertices of A's smallest
+        occurrence gives the candidate B's.  They are tried in code order and
+        the first that subsumes A wins.  A candidate whose union vertex mask
+        misses a vertex of A is rejected at once; only the rest pay the
+        per-occurrence test.
         """
         if len(entries) <= 1:
             return entries
@@ -523,42 +566,47 @@ class GrowthEngine:
             ),
             reverse=True,
         )
-        # Inverted index: data vertex -> codes of larger-or-equal entries seen so far.
-        vertex_index: Dict[Vertex, Set[str]] = {}
+        vmask = self._vmask
+        slots_on: Dict[Vertex, int] = {}
+        # slot -> (kept entry, its occurrences' vertex masks, their union)
+        slots: List[Tuple[CandidateEntry, List[int], int]] = []
         kept: Dict[str, CandidateEntry] = {}
         for entry in ordered:
-            candidate_codes: Optional[Set[str]] = None
+            masks = [vmask(occ.vertices) for occ in entry.occurrences]
+            union = 0
+            for mask in masks:
+                union |= mask
             smallest = min(entry.occurrences, key=lambda o: o.num_vertices)
+            candidates = (1 << len(slots)) - 1
             for v in smallest.vertices:
-                codes = vertex_index.get(v)
-                if not codes:
-                    candidate_codes = set()
+                candidates &= slots_on.get(v, 0)
+                if not candidates:
                     break
-                if candidate_codes is None:
-                    candidate_codes = set(codes)
-                else:
-                    candidate_codes &= codes
-                if not candidate_codes:
-                    break
+            tried: List[Tuple[CandidateEntry, List[int], int]] = []
+            while candidates:
+                low = candidates & -candidates
+                tried.append(slots[low.bit_length() - 1])
+                candidates ^= low
+            tried.sort(key=lambda slot: slot[0].code)
             subsumed_by: Optional[CandidateEntry] = None
-            for code in sorted(candidate_codes or ()):
-                other = kept.get(code)
-                if other is None or other is entry:
+            for other, other_masks, other_union in tried:
+                if union & ~other_union:
                     continue
                 if all(
-                    any(occ.vertices <= big.vertices and occ.edges <= big.edges
-                        for big in other.occurrences)
-                    for occ in entry.occurrences
+                    _inside_one(mask, occ, other_masks, other.occurrences)
+                    for mask, occ in zip(masks, entry.occurrences)
                 ):
                     subsumed_by = other
                     break
             if subsumed_by is not None:
                 subsumed_by.merged = subsumed_by.merged or entry.merged
                 continue
+            bit = 1 << len(slots)
+            slots.append((entry, masks, union))
             kept[entry.code] = entry
             for occ in entry.occurrences:
                 for v in occ.vertices:
-                    vertex_index.setdefault(v, set()).add(entry.code)
+                    slots_on[v] = slots_on.get(v, 0) | bit
         return kept
 
     def _dedupe(self, occurrences: Sequence[Occurrence]) -> List[Occurrence]:

@@ -34,12 +34,11 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
 
-from ..graph.isomorphism import SubgraphMatcher
 from ..graph.labeled_graph import LabeledGraph, Vertex
 from ..graph.view import GraphView
 from ..obs import get_registry, get_tracer
 from ..patterns.embedding import Embedding
-from ..patterns.spider import Spider, head_distinguished_code
+from ..patterns.spider import Spider, head_distinguished_canonical
 from ..patterns.support import SupportMeasure, is_frequent
 from .config import SpiderMineConfig
 
@@ -220,7 +219,8 @@ class SpiderMiner:
         # falls short — level 0 has always seeded extensions unconditionally.
         frontier = [root]
         while frontier and len(mined) < config.max_spiders:
-            next_by_code: Dict[str, _Candidate] = {}
+            # code -> (first candidate reaching it, its head-tagged canonical order)
+            next_by_code: Dict[str, Tuple[_Candidate, List[int]]] = {}
             for candidate in frontier:
                 at_size_cap = candidate.graph.num_vertices >= config.max_spider_size
                 # At the vertex cap, closing edges (which add no vertex) are
@@ -231,17 +231,17 @@ class SpiderMiner:
                     else self._extensions(candidate)
                 )
                 for extended in extensions:
-                    code = head_distinguished_code(extended.graph, _HEAD)
+                    order, code = head_distinguished_canonical(extended.graph, _HEAD)
                     if code in mined:
                         continue
                     existing = next_by_code.get(code)
                     if existing is None:
-                        next_by_code[code] = extended
+                        next_by_code[code] = (extended, order)
                     else:
-                        self._merge_embeddings(existing, extended)
+                        self._merge_embeddings(*existing, extended, order)
             frontier = []
             bucket: List[Spider] = []
-            for code, candidate in next_by_code.items():
+            for code, (candidate, _order) in next_by_code.items():
                 spider = self._to_spider(candidate)
                 if spider is None:
                     continue
@@ -356,33 +356,33 @@ class SpiderMiner:
             return mappings
         return mappings[:cap]
 
-    def _merge_embeddings(self, target: _Candidate, extra: _Candidate) -> None:
+    def _merge_embeddings(
+        self,
+        target: _Candidate,
+        target_order: List[int],
+        extra: _Candidate,
+        extra_order: List[int],
+    ) -> None:
         """Union the embedding lists of two candidates for the same spider code.
 
         Candidates reached through different growth orders can name their
         pattern vertices differently even though the codes agree, so the extra
-        embeddings are realigned through one head-preserving isomorphism
-        before being unioned.  The anchored search runs in BFS order rooted at
-        the head (the matcher's anchored-order contract), so it never degrades
-        to label-scan candidate pools on these connected spider graphs.
+        embeddings are realigned before being unioned.  The head-tagged
+        canonical orders give the alignment: equal codes mean position ``i``
+        of both orders carries the same label (the head's tagged one only at
+        the head) and the same adjacency row, so ``dict(zip(extra_order,
+        target_order))`` is a head-preserving isomorphism; equal graphs get
+        equal orders, so it is the identity for them.
 
-        *Which* head-preserving isomorphism is found first does not matter
+        *Which* head-preserving isomorphism is used does not matter
         downstream: two choices differ by an automorphism fixing the head, so
         the realigned embeddings have identical (head image, vertex image,
         edge image) triples — the dedup key here and everything Stage II/III
         reads (occurrence images, the head index).  Only the literal mapping
-        dicts differ, which reach nothing but the version-fenced spiders
-        cache payload; mining result digests were verified bit-identical
-        across the 1.5.0 anchored-order change on merge-heavy runs.
+        dicts could differ, and they reach nothing but the version-fenced
+        spiders cache payload.
         """
-        if extra.graph == target.graph:
-            rename = {v: v for v in extra.graph.vertices()}
-        else:
-            matcher = SubgraphMatcher(extra.graph, target.graph, induced=True)
-            found = matcher.find_embeddings(limit=1, anchor=(_HEAD, _HEAD))
-            if not found:
-                return
-            rename = found[0]
+        rename = dict(zip(extra_order, target_order))
         seen = {(m[_HEAD], frozenset(m.values())) for m in target.embeddings}
         for mapping in extra.embeddings:
             remapped = {rename[p]: g for p, g in mapping.items()}

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Counter as CounterType, Dict, List, Optional, Tuple
 
 from ..graph.algorithms import bfs_distances, is_r_bounded_from
-from ..graph.canonical import labelled_code
+from ..graph.canonical import labelled_canonical
 from ..graph.isomorphism import SubgraphMatcher, embedding_edge_image
 from ..graph.labeled_graph import LabeledGraph, Vertex
 from ..graph.view import GraphView
@@ -127,16 +127,22 @@ class Spider(Pattern):
         )
 
 
-def head_distinguished_code(graph: LabeledGraph, head: Vertex) -> str:
-    """Canonical code of ``graph`` with ``head``'s label tagged.
+def head_distinguished_canonical(graph: LabeledGraph, head: Vertex) -> Tuple[List[Vertex], str]:
+    """Canonical vertex order and code of ``graph`` with ``head``'s label tagged.
 
     Isomorphic spiders whose isomorphism maps head to head — and only those —
-    receive equal codes.
+    receive equal codes.  For two spiders with equal codes,
+    ``dict(zip(order_1, order_2))`` is such a head-preserving isomorphism.
     """
     def label(v: Vertex):
         return f"{graph.label(v)}{_HEAD_TAG}" if v == head else graph.label(v)
 
-    return labelled_code(graph.vertices(), label, graph.edges())
+    return labelled_canonical(graph.vertices(), label, graph.edges())
+
+
+def head_distinguished_code(graph: LabeledGraph, head: Vertex) -> str:
+    """The code half of :func:`head_distinguished_canonical`."""
+    return head_distinguished_canonical(graph, head)[1]
 
 
 def extract_spider(

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import copy
 
+from hypothesis import given, settings, strategies as st
+
+from repro.catalog.formats import spiders_digest
 from repro.core import SpiderMineConfig, SpiderMiner, build_spider_index, mine_spiders
-from repro.graph import LabeledGraph, is_r_bounded_from
+from repro.core.spider_miner import _Candidate
+from repro.graph import LabeledGraph, SubgraphMatcher, is_r_bounded_from
 from repro.patterns import SupportMeasure, compute_support
+from repro.patterns.spider import head_distinguished_canonical
 from tests.conftest import build_path
 
 
@@ -139,3 +145,123 @@ class TestSpiderMinerConfigIntegration:
         spiders = SpiderMiner(graph, config).mine()
         edge_spiders = [s for s in spiders if s.num_edges == 1]
         assert edge_spiders  # three A-A edges, at least two edge-disjoint
+
+
+# ---------------------------------------------------------------------- #
+# Stage-I alignment of candidates reached through different growth orders
+# ---------------------------------------------------------------------- #
+def _reference_merge(miner, target, extra):
+    """The matcher-based realignment: one anchored head-preserving isomorphism."""
+    if extra.graph == target.graph:
+        rename = {v: v for v in extra.graph.vertices()}
+    else:
+        matcher = SubgraphMatcher(extra.graph, target.graph, induced=True)
+        rename = matcher.find_embeddings(limit=1, anchor=(0, 0))[0]
+    seen = {(m[0], frozenset(m.values())) for m in target.embeddings}
+    for mapping in extra.embeddings:
+        remapped = {rename[p]: g for p, g in mapping.items()}
+        key = (remapped[0], frozenset(remapped.values()))
+        if key not in seen and len(target.embeddings) < miner.config.max_embeddings_per_pattern:
+            target.embeddings.append(remapped)
+            seen.add(key)
+
+
+SPIDER_SHAPES = {
+    # head 0; same-label leaves make every leaf permutation an automorphism
+    "star": ("HAAA", [(0, 1), (0, 2), (0, 3)]),
+    "triangle": ("HAA", [(0, 1), (0, 2), (1, 2)]),
+    "fan": ("HAAAA", [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4)]),
+    "mixed": ("HABAB", [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4)]),
+    "path": ("HAB", [(0, 1), (1, 2)]),
+}
+
+
+def _spider_graph(labels, edges, rename) -> LabeledGraph:
+    graph = LabeledGraph()
+    for v, label in enumerate(labels):
+        graph.add_vertex(rename[v], label)
+    for u, v in edges:
+        graph.add_edge(rename[u], rename[v])
+    return graph
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    shape=st.sampled_from(sorted(SPIDER_SHAPES)),
+    data=st.data(),
+)
+def test_realigned_embeddings_equal_the_matcher_reference(shape, data):
+    """Two numberings of one spider merge to the matcher's (head, image) keys.
+
+    The data graph holds five copies of the spider; each candidate embeds a
+    drawn list of copies, each through a drawn head-fixing automorphism, so
+    images repeat and dedup decides what is kept.
+    """
+    labels, edges = SPIDER_SHAPES[shape]
+    n = len(labels)
+    data_graph = LabeledGraph()
+    for k in range(5):
+        for v, label in enumerate(labels):
+            data_graph.add_vertex((k, v), label)
+        for u, v in edges:
+            data_graph.add_edge((k, u), (k, v))
+    base = _spider_graph(labels, edges, list(range(n)))
+    automorphisms = SubgraphMatcher(base, base, induced=True).find_embeddings(anchor=(0, 0))
+
+    def candidate():
+        leaves = data.draw(st.permutations(list(range(1, n))))
+        rename = [0] + list(leaves)          # growth order: pattern vertex of base vertex v
+        embeddings = []
+        for k in data.draw(st.lists(st.integers(0, 4), max_size=6)):
+            auto = automorphisms[data.draw(st.integers(0, len(automorphisms) - 1))]
+            embeddings.append({rename[v]: (k, auto[v]) for v in range(n)})
+        return _Candidate(
+            graph=_spider_graph(labels, edges, rename), depth={}, embeddings=embeddings
+        )
+
+    miner = SpiderMiner(data_graph, SpiderMineConfig(min_support=2, max_embeddings_per_pattern=4))
+    target, extra = candidate(), candidate()
+    target_order, target_code = head_distinguished_canonical(target.graph, 0)
+    extra_order, extra_code = head_distinguished_canonical(extra.graph, 0)
+    assert target_code == extra_code
+    expected = copy.deepcopy(target)
+    _reference_merge(miner, expected, extra)
+    miner._merge_embeddings(target, target_order, extra, extra_order)
+
+    def keys(c):
+        return [(m[0], frozenset(m.values())) for m in c.embeddings]
+
+    assert keys(target) == keys(expected)
+    for mapping in target.embeddings:  # every realigned mapping is a real embedding
+        assert all(data_graph.has_edge(mapping[u], mapping[v]) for u, v in target.graph.edges())
+
+
+def test_spiders_digest_is_pinned_on_a_merge_heavy_graph():
+    """Stage I on a small fixed graph whose candidates merge across numberings.
+
+    The digest was computed with the matcher-based alignment.  The graph is
+    checked to make non-identity merges (candidate graphs that differ), so
+    the pin covers the realignment itself.
+    """
+    labels = "AAAAABBAABAB"
+    edges = [(0, 9), (10, 2), (6, 10), (6, 8), (5, 8), (7, 8), (4, 0), (0, 5), (7, 5),
+             (6, 11), (8, 2), (3, 11), (0, 2), (5, 2), (8, 10), (7, 6), (11, 8), (5, 9)]
+    graph = LabeledGraph()
+    for v, label in enumerate(labels):
+        graph.add_vertex(v, label)
+    for u, v in edges:
+        graph.add_edge(u, v)
+    miner = SpiderMiner(graph, SpiderMineConfig(min_support=2, radius=1, max_spider_size=4))
+    realigned = []
+    merge = miner._merge_embeddings
+
+    def counting(target, target_order, extra, extra_order):
+        realigned.append(target.graph != extra.graph)
+        merge(target, target_order, extra, extra_order)
+
+    miner._merge_embeddings = counting
+    spiders = miner.mine()
+    assert sum(realigned) >= 10
+    assert spiders_digest(spiders) == (
+        "462dcd7e2788aec8617d1d3e569d9e5968253c4f1dd3fb1dc15ee03c54528567"
+    )
