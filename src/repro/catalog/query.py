@@ -284,33 +284,6 @@ class CatalogQuery:
         self.publish_stats()
         return results
 
-    def _containing_unindexed(
-        self,
-        needle: Union[LabeledGraph, Pattern],
-        run_id: Optional[str] = None,
-    ) -> List[PatternRecord]:
-        """The pre-index containment path: re-seed domains per (pattern, needle).
-
-        Kept as the behavioural reference for parity tests and as the cold
-        baseline the serving benchmark (``BENCH_serving.json``) measures the
-        persisted index against.
-        """
-        graph = needle.graph if isinstance(needle, Pattern) else needle
-        needle_labels = set(graph.labels().values())
-        matches = []
-        for record in self.records(run_id=run_id):
-            if (
-                record.num_vertices < graph.num_vertices
-                or record.num_edges < graph.num_edges
-                or not needle_labels.issubset(record.labels)
-            ):
-                continue
-            candidate = self.load_pattern(record)
-            self.stats.matcher_calls += 1
-            if SubgraphMatcher(graph, candidate.graph).exists():
-                matches.append(record)
-        return matches
-
     def publish_stats(self, registry=None) -> None:
         """Mirror this query's cumulative stats into a telemetry registry.
 

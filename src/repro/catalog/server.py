@@ -254,10 +254,18 @@ class CatalogServer:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", 0) or 0)
+        raw_length = headers.get("content-length") or "0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise _HTTPError(400, f"malformed Content-Length: {raw_length!r}")
+        length = int(raw_length)
         if length > MAX_BODY_BYTES:
             raise _HTTPError(400, f"request body exceeds {MAX_BODY_BYTES} bytes")
-        body = await reader.readexactly(length) if length else b""
+        try:
+            body = await reader.readexactly(length) if length else b""
+        except asyncio.IncompleteReadError as error:
+            raise _HTTPError(
+                400, f"request body ended after {len(error.partial)} of {length} bytes"
+            ) from None
         split = urlsplit(target)
         params = {k: v[-1] for k, v in parse_qs(split.query).items()}
         return method.upper(), split.path.rstrip("/") or "/", params, body

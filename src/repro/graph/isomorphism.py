@@ -39,9 +39,10 @@ Two search paths share the domains, chosen by target type:
 The two paths are pinned together by :func:`matcher_digest` — a canonical,
 order-insensitive fingerprint of an embedding collection (the analogue of the
 overlap engine's ``conflict_digest``): for any (pattern, target) pair the
-dict-path digest must equal the csr-path digest, which the perf-smoke suite
-and the hypothesis parity tests assert.  The pre-domain engine survives
-verbatim in :mod:`repro.graph._matcher_reference` as the behavioural oracle.
+dict-path digest must equal the csr-path digest, which the hypothesis
+parity tests (``tests/test_matcher_parity.py``) assert against the
+pre-domain engine, kept verbatim as a test oracle in
+``tests/oracles/matcher_reference.py``.
 
 Matching orders are connectivity-first (every vertex after the first of its
 component is adjacent to an already-matched one).  Anchored searches rebuild

@@ -7,9 +7,10 @@ domains, integer embedding ids.  What they paid for until this module existed
 was the *per-element* cost of driving those loops from Python: one
 ``Counter`` per scanned vertex at domain-seed time, one ``bisect`` call per
 arc-consistency probe, one nested loop iteration per posting pair.  The
-asymptotics were right (BENCH_matcher.json shows ~99% of candidate tests
-pruned) but the constant factor lost free-search wall-clock to the
-pre-domain reference engine.
+asymptotics were right (domain filtering prunes most candidate tests;
+``tests/test_matcher_parity.py`` gates ≥80% on a dense label class) but the
+constant factor lost free-search wall-clock to the pre-domain reference
+engine.
 
 This module batches exactly those loops into numpy:
 
@@ -30,9 +31,9 @@ This module batches exactly those loops into numpy:
 Every kernel is **pure**: arrays in, arrays out, no graph objects.  numpy is
 a hard dependency, and this is the one module that imports it (reprolint's
 KERN001).  Each kernel is pinned against a naive pure-Python reference in
-``tests/test_kernels.py`` and the perf-smoke kernels suite; the engines built
-on them are pinned against the dict path and the reference matcher by the
-digest machinery (``matcher_digest`` / ``conflict_digest``).
+``tests/test_kernels.py``; the engines built on them are pinned against the
+dict path and the reference matcher by the digest machinery
+(``matcher_digest`` / ``conflict_digest``).
 
 Zero-copy contract: :func:`as_index_array` wraps ``array.array``, typed
 ``memoryview`` (the shared-memory attach path) and ``np.ndarray`` buffers

@@ -34,7 +34,8 @@ JSON lines with the custom ``TRACE`` level (the CLI's ``--log-json`` /
 
 Span names follow ``layer.stage[.unit]``: ``mine.stage1``,
 ``mine.stage1.unit`` (one per mining unit, serial or merged back from
-workers), ``mine.stage2``, ``mine.stage3``, ``mine.report``, ``serve.request``.
+workers), ``mine.setup`` (spider index and growth engine), ``mine.stage2``,
+``mine.stage3``, ``mine.report``, ``serve.request``.
 """
 
 from __future__ import annotations

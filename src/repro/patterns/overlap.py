@@ -17,10 +17,9 @@ all.  Building the postings is O(Σ image-size); emitting conflicts is
 O(Σ_key t_key²) over posting sizes, i.e. proportional to the overlap actually
 present instead of to n².  The construction is deterministic (ids are list
 positions; postings append in id order) and produces the **same adjacency
-dict, with the same key insertion order**, as the all-pairs reference —
-:meth:`EmbeddingIndex.conflict_graph_all_pairs` exists precisely so tests and
-the perf-smoke CI gate can assert that equivalence via
-:func:`conflict_digest`.
+dict, with the same key insertion order**, as an O(n²) all-pairs scan — the
+test oracle in ``tests/oracles/overlap_reference.py``, which the tests
+compare against via :func:`conflict_digest`.
 
 Independent sets are solved exactly (branch and bound) up to
 ``DEFAULT_EXACT_LIMIT`` nodes and fall back to the degeneracy-ordered greedy
@@ -184,7 +183,7 @@ class EmbeddingIndex:
 
         Only ids sharing a posting list are ever paired, so disjoint
         embeddings cost nothing beyond their postings.  Equal (same adjacency,
-        same 0..n-1 key order) to :meth:`conflict_graph_all_pairs`.
+        same 0..n-1 key order) to the all-pairs scan over the same images.
 
         When the postings carry enough pair work
         (``VECTOR_MERGE_MIN_TOUCHES``), the pairing runs through
@@ -225,47 +224,6 @@ class EmbeddingIndex:
                     conflict[j].add(i)
         return conflict
 
-    def conflict_graph_all_pairs(self, edge_based: bool = False) -> ConflictGraph:
-        """Reference O(n²) all-pairs construction (parity checks only)."""
-        images = self.images(edge_based)
-        conflict: ConflictGraph = {i: set() for i in range(len(images))}
-        for i in range(len(images)):
-            for j in range(i + 1, len(images)):
-                if images[i] & images[j]:
-                    conflict[i].add(j)
-                    conflict[j].add(i)
-        return conflict
-
-    def pair_stats(
-        self, edge_based: bool = False, conflict: Optional[ConflictGraph] = None
-    ) -> Dict[str, int]:
-        """Work accounting for the benchmark: pair tests done vs avoided.
-
-        ``all_pairs_tests`` is what the old construction always paid;
-        ``posting_pair_touches`` is the index's actual pairing work
-        (Σ over postings of C(t, 2) — the same id pair is re-touched once per
-        shared key, so on pathologically overlapping collections this can
-        exceed ``all_pairs_tests``); ``pair_tests_avoided`` is their
-        difference clamped at zero, and ``conflict_edges`` the resulting
-        graph size.  Pass a prebuilt ``conflict`` graph to avoid rebuilding
-        it just for the edge count.
-        """
-        n = len(self)
-        touches = sum(
-            len(ids) * (len(ids) - 1) // 2
-            for ids in self.postings(edge_based).values()
-        )
-        if conflict is None:
-            conflict = self.conflict_graph(edge_based)
-        edges = sum(len(row) for row in conflict.values()) // 2
-        return {
-            "n": n,
-            "all_pairs_tests": n * (n - 1) // 2,
-            "posting_pair_touches": touches,
-            "pair_tests_avoided": max(0, n * (n - 1) // 2 - touches),
-            "conflict_edges": edges,
-        }
-
 
 # ---------------------------------------------------------------------- #
 # independent sets over conflict graphs
@@ -303,8 +261,8 @@ def distinct_indices(images: Sequence[Hashable]) -> List[int]:
 def conflict_digest(conflict: ConflictGraph) -> str:
     """Stable fingerprint of a conflict graph (id-keyed adjacency).
 
-    Used by the perf-smoke parity gate: the digest of the index-built graph
-    must equal the digest of the all-pairs reference.
+    The overlap parity tests assert that the digest of the index-built graph
+    equals the digest of the all-pairs reference.
     """
     blob = ";".join(
         f"{i}:{','.join(map(str, sorted(conflict[i])))}" for i in sorted(conflict)

@@ -12,9 +12,8 @@ It exists for two jobs and must not be "improved":
 * the hypothesis parity suite (``tests/test_matcher_parity.py``) asserts the
   domain matcher enumerates exactly the embedding sets this implementation
   does, across backends, semantics and anchoring;
-* the matcher perf-smoke suite uses its ``candidate_tests`` counter as the
-  baseline when reporting how many per-candidate feasibility tests domain
-  filtering eliminates.
+* its ``candidate_tests`` counter is the baseline the elimination test
+  measures the domain matcher's per-candidate feasibility tests against.
 
 The only changes to the historical code are the two counters
 (``candidate_tests``, ``pool_fallbacks``), which observe the search without
@@ -27,8 +26,8 @@ from __future__ import annotations
 from itertools import islice
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .labeled_graph import LabeledGraph, Vertex
-from .view import GraphView
+from repro.graph.labeled_graph import LabeledGraph, Vertex
+from repro.graph.view import GraphView
 
 Mapping = Dict[Vertex, Vertex]
 

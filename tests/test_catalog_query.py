@@ -7,6 +7,7 @@ import pytest
 from repro import CachePolicy, SpiderMine, SpiderMineConfig, open_catalog
 from repro.catalog import CatalogQuery, CatalogStore
 from repro.graph import LabeledGraph, synthetic_single_graph
+from tests.oracles.containment_reference import UnindexedContainment
 
 
 def query_for(store):
@@ -180,10 +181,15 @@ class TestBatchContainment:
     def test_batch_matches_unindexed_reference(self, populated_store):
         store, results = populated_store
         needles = self._needles(results)
-        batch = query_for(store).contains_batch(needles)
-        reference = query_for(store)
-        expected = [reference._containing_unindexed(n) for n in needles]
+        query = query_for(store)
+        batch = query.contains_batch(needles)
+        reference = UnindexedContainment(query_for(store))
+        expected = [reference.containing(n) for n in needles]
         assert batch == expected
+        # The index is read, never derived, and only admits matcher calls
+        # the unindexed path would make too.
+        assert query.stats.index_builds == 0
+        assert 0 < query.stats.matcher_calls <= reference.matcher_calls
 
     def test_batch_loads_each_run_index_once(self, populated_store):
         """N needles must not re-seed domains per (pattern, needle) pair:

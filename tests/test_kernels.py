@@ -35,6 +35,7 @@ from repro.patterns.overlap import (
     EmbeddingIndex,
     conflict_digest,
 )
+from tests.oracles.overlap_reference import conflict_graph_all_pairs
 
 LABELS = ["A", "B", "C"]
 
@@ -294,7 +295,7 @@ class TestConflictGraphParity:
         images = self.overlapping_images(rng, rng.randint(1, 20), 30)
         index = EmbeddingIndex(vertex_images=images)
         got = index.conflict_graph()
-        assert conflict_digest(got) == conflict_digest(index.conflict_graph_all_pairs())
+        assert conflict_digest(got) == conflict_digest(conflict_graph_all_pairs(images))
 
     def test_large_collection_takes_vectorized_branch_and_matches(self):
         # Enough co-occurrence that posting pair touches exceed the dispatch
@@ -304,9 +305,7 @@ class TestConflictGraphParity:
             frozenset(rng.sample(range(40), rng.randint(2, 5))) for _ in range(160)
         ]
         index = EmbeddingIndex(vertex_images=images)
-        touches = index.pair_stats()["posting_pair_touches"]
+        touches = sum(len(ids) * (len(ids) - 1) // 2 for ids in index.postings(False).values())
         assert touches >= VECTOR_MERGE_MIN_TOUCHES  # vectorized branch active
         vectorized = index.conflict_graph()
-        assert conflict_digest(vectorized) == conflict_digest(
-            index.conflict_graph_all_pairs()
-        )
+        assert conflict_digest(vectorized) == conflict_digest(conflict_graph_all_pairs(images))

@@ -3,7 +3,7 @@
 The contract being pinned:
 
 * the domain matcher enumerates **exactly** the embedding sets of the
-  pre-refactor reference (:mod:`repro.graph._matcher_reference`), across
+  pre-refactor reference (``tests/oracles/matcher_reference.py``), across
   {dict, csr} targets × {induced, monomorphic} semantics × {anchored, free}
   queries (hypothesis, random labeled patterns and graphs);
 * on the dict backend the free-search embedding *sequence* is byte-identical
@@ -17,12 +17,16 @@ The contract being pinned:
   empty domain answers the query with zero search;
 * the anchored matching order is BFS-rooted at the anchor: connected patterns
   never fall back to whole-graph label-scan candidate pools mid-search
-  (regression for the old anchor-in-front-of-free-order bug).
+  (regression for the old anchor-in-front-of-free-order bug);
+* on a dense label class, the domain matcher eliminates at least 80% of the
+  reference engine's per-candidate feasibility tests, and the CSR free search
+  stays within 1.5x of the reference engine's wall-clock.
 """
 
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -30,12 +34,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.graph import (
     LabeledGraph,
     SubgraphMatcher,
+    erdos_renyi_graph,
     find_anchored_embeddings,
     freeze,
     matcher_digest,
 )
-from repro.graph._matcher_reference import ReferenceSubgraphMatcher
 from repro.patterns import Embedding, Spider
+from tests.oracles.matcher_reference import ReferenceSubgraphMatcher
 
 LABELS = ["A", "B", "C"]
 
@@ -437,6 +442,87 @@ class TestAnchoredBatch:
         assert set(per_head) == {0, 1, 2}
         # Each head keeps both edge images of the through-path.
         assert all(len(ms) == 2 for ms in per_head.values())
+
+
+# --------------------------------------------------------------------------- #
+# a dense label class: work eliminated and free-search wall-clock
+# --------------------------------------------------------------------------- #
+#: Share of the reference engine's candidate feasibility tests (free search
+#: plus the anchored batch over every A anchor) the domain matcher must avoid.
+MIN_ELIMINATED = 0.80
+#: The CSR free search may take at most this multiple of the reference
+#: engine's best-of wall-clock: a graph this small barely amortises the
+#: domain-build precompute, but a gross regression still trips it.
+FREE_SEARCH_SLACK = 1.5
+TIMING_REPEATS = 5
+EMBEDDING_CAP = 20000
+
+
+@pytest.fixture(scope="module")
+def dense_class():
+    """An 800-vertex ER graph (average degree 4, seed 7), one vertex in ten
+    labelled B and the rest A, and the path A-A-B rooted in the dense class.
+
+    The free matching order roots at the rare B end, so anchoring at the A
+    head is the shape whose old anchored order degenerated to label scans.
+    """
+    base = erdos_renyi_graph(800, 4.0, 1, seed=7)
+    graph = LabeledGraph()
+    for i in range(800):
+        graph.add_vertex(i, "B" if i % 10 == 0 else "A")
+    for u, v in base.edges():
+        graph.add_edge(u, v)
+    pattern = build_graph(3, [(0, 1), (1, 2)], ["A", "A", "B"])
+    return graph, freeze(graph), pattern
+
+
+def _best_of(make_matcher):
+    """Best-of-``TIMING_REPEATS`` free-search seconds, plus the last result and matcher."""
+    seconds, found = [], None
+    for _ in range(TIMING_REPEATS):
+        matcher = make_matcher()
+        start = time.perf_counter()
+        found = matcher.find_embeddings(limit=EMBEDDING_CAP)
+        seconds.append(time.perf_counter() - start)
+    return min(seconds), found, matcher
+
+
+class TestDenseClassWorkload:
+    def test_domain_matcher_eliminates_candidate_tests(self, dense_class):
+        graph, frozen, pattern = dense_class
+        reference = ReferenceSubgraphMatcher(pattern, graph)
+        ref_free = reference.find_embeddings(limit=EMBEDDING_CAP)
+        ref_tests = reference.candidate_tests
+        anchors = sorted(graph.vertices_with_label("A"), key=repr)
+        ref_anchored = []
+        for t_anchor in anchors:
+            per_anchor = ReferenceSubgraphMatcher(pattern, graph)
+            ref_anchored.extend(per_anchor.find_embeddings(anchor=(0, t_anchor)))
+            ref_tests += per_anchor.candidate_tests
+        # Anchoring at every A head finds every embedding exactly once.
+        assert matcher_digest(ref_anchored) == matcher_digest(ref_free)
+
+        for target in (graph, frozen):
+            free_matcher = SubgraphMatcher(pattern, target)
+            free = free_matcher.find_embeddings(limit=EMBEDDING_CAP)
+            if target is graph:
+                assert free == ref_free  # the dict path keeps the sequence
+            assert matcher_digest(free) == matcher_digest(ref_free)
+            batch_matcher = SubgraphMatcher(pattern, target)
+            batch = [m for _, m in batch_matcher.iter_anchored(0, t_anchors=anchors)]
+            assert matcher_digest(batch) == matcher_digest(ref_anchored)
+            tests = free_matcher.stats.candidate_tests + batch_matcher.stats.candidate_tests
+            assert 1.0 - tests / ref_tests >= MIN_ELIMINATED, (type(target).__name__, tests)
+            assert batch_matcher.stats.pool_fallbacks == 0
+
+    def test_csr_free_search_keeps_pace_with_the_reference(self, dense_class):
+        graph, frozen, pattern = dense_class
+        ref_seconds, ref_free, _ = _best_of(lambda: ReferenceSubgraphMatcher(pattern, graph))
+        csr_seconds, csr_free, matcher = _best_of(lambda: SubgraphMatcher(pattern, frozen))
+        assert matcher_digest(csr_free) == matcher_digest(ref_free)
+        keys = [tuple(frozen.index_of(m[p]) for p in matcher._order) for m in csr_free]
+        assert keys == sorted(set(keys))  # ascending index-space sequence
+        assert csr_seconds <= FREE_SEARCH_SLACK * ref_seconds, (csr_seconds, ref_seconds)
 
 
 # --------------------------------------------------------------------------- #

@@ -38,8 +38,8 @@ def planted():
     )
 
 
-def _mine_digest(graph, workers: int, mode: str):
-    """One mining run under the given telemetry mode; returns (digest, registry, tracer)."""
+def _mine(graph, workers: int, mode: str):
+    """One mining run under the given telemetry mode; returns (result, registry, tracer)."""
     execution = (
         ExecutionPolicy()
         if workers == 1
@@ -50,7 +50,7 @@ def _mine_digest(graph, workers: int, mode: str):
     tracer = Tracer() if mode == "trace" else None
     with use_registry(registry), use_tracer(tracer):
         result = SpiderMine(graph, config).mine()
-    return result.digest(), registry, tracer
+    return result, registry, tracer
 
 
 @pytest.mark.parametrize("backend", ["dict", "csr"])
@@ -61,23 +61,28 @@ def test_digests_identical_across_telemetry_modes(planted, backend, workers):
     digests = {}
     collected = {}
     for mode in MODES:
-        digests[mode], registry, tracer = _mine_digest(graph, workers, mode)
-        collected[mode] = (registry, tracer)
+        result, registry, tracer = _mine(graph, workers, mode)
+        digests[mode] = result.digest()
+        collected[mode] = (result, registry, tracer)
 
     assert digests["metrics"] == digests["off"]
     assert digests["trace"] == digests["off"]
 
     # Guard against a vacuous pass: the instrumented runs must actually
     # have instrumented something.
-    registry, _ = collected["metrics"]
+    _, registry, _ = collected["metrics"]
     flat = registry.flat()
     assert flat["mine.runs"] == 1
     assert flat["mine.stage1.units"] > 0
     assert flat["mine.statistics.num_spiders"] > 0
 
-    _, tracer = collected["trace"]
+    traced, _, tracer = collected["trace"]
     roots = tracer.roots()
-    assert [r.name for r in roots] == ["mine.stage1", "mine.stage2", "mine.stage3", "mine.report"]
+    assert [r.name for r in roots] == [
+        "mine.stage1", "mine.setup", "mine.stage2", "mine.stage3", "mine.report",
+    ]
+    # Nearly all of the mine's wall time sits inside some root span.
+    assert sum(r.duration for r in roots) >= 0.95 * traced.runtime_seconds
     stage1 = roots[0]
     assert stage1.children, "per-unit spans missing (serial record / worker merge)"
     assert all(c.name == "mine.stage1.unit" for c in stage1.children)

@@ -32,6 +32,7 @@ from repro.patterns import (
     independent_set_size,
     max_independent_set,
 )
+from tests.oracles.overlap_reference import conflict_graph_all_pairs
 
 COMMON_SETTINGS = settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -118,17 +119,6 @@ class TestEmbeddingIndex:
         assert index.conflict_graph(edge_based=False) == {0: {1}, 1: {0}}
         assert index.conflict_graph(edge_based=True) == {0: set(), 1: set()}
 
-    def test_pair_stats_accounting(self):
-        pattern, embeddings = self._chain_pattern_and_embeddings()
-        index = EmbeddingIndex.from_embeddings(embeddings, pattern)
-        stats = index.pair_stats(edge_based=False)
-        assert stats["n"] == 3
-        assert stats["all_pairs_tests"] == 3
-        # Only the single shared vertex produces a pairing touch.
-        assert stats["posting_pair_touches"] == 1
-        assert stats["pair_tests_avoided"] == 2
-        assert stats["conflict_edges"] == 1
-
 
 # --------------------------------------------------------------------------- #
 # parity properties
@@ -139,7 +129,7 @@ def test_index_conflict_graph_equals_all_pairs(pattern, edge_based):
     """The tentpole contract: inverted-index build == O(n²) reference build."""
     index = EmbeddingIndex.from_embeddings(pattern.embeddings, pattern.graph)
     fast = index.conflict_graph(edge_based=edge_based)
-    reference = index.conflict_graph_all_pairs(edge_based=edge_based)
+    reference = conflict_graph_all_pairs(index.images(edge_based))
     assert fast == reference
     assert list(fast) == list(reference)  # same 0..n-1 key insertion order
     assert conflict_digest(fast) == conflict_digest(reference)

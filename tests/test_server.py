@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import logging
+import socket
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -14,6 +16,7 @@ from repro import open_catalog
 from repro.catalog import canonical_json
 from repro.graph import LabeledGraph, synthetic_single_graph
 from repro.graph.io import graph_to_dict
+from repro.obs import get_logger
 
 
 def _get(url):
@@ -30,6 +33,19 @@ def _post(url, payload):
     )
     with urllib.request.urlopen(request, timeout=10) as resp:
         return resp.status, resp.read()
+
+
+def _raw(handle, request: bytes) -> bytes:
+    """Send raw request bytes, half-close, and read the whole reply."""
+    with socket.create_connection((handle.host, handle.port), timeout=10) as sock:
+        sock.sendall(request)
+        sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +193,33 @@ class TestErrors:
     def test_wrong_method_is_405(self, served_catalog):
         _, handle = served_catalog
         self._expect_error(lambda: _get(handle.url + "/contains"), 405)
+
+    @pytest.mark.parametrize(
+        "length, body",
+        [("abc", b"{}"), ("-5", b"{}"), ("64", b'{"graph": {}}')],
+        ids=["not-a-number", "negative", "body-shorter-than-declared"],
+    )
+    def test_malformed_content_length_is_400_and_not_logged(
+        self, served_catalog, length, body
+    ):
+        _, handle = served_catalog
+        records = []
+        handler = logging.Handler()
+        handler.emit = records.append
+        logger = get_logger("serve")
+        logger.addHandler(handler)
+        try:
+            reply = _raw(
+                handle,
+                b"POST /contains HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Length: " + length.encode() + b"\r\n\r\n" + body,
+            )
+        finally:
+            logger.removeHandler(handler)
+        head, _, payload = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 "), head
+        assert json.loads(payload)["error"]
+        assert not [r for r in records if r.levelno >= logging.ERROR]
 
 
 class TestConcurrency:
