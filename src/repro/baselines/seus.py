@@ -104,7 +104,6 @@ class Seus:
                     continue
                 pattern = Pattern(graph=pattern_graph)
                 pattern.recompute_embeddings(self.graph, limit=config.max_embeddings)
-                statistics.num_isomorphism_checks += 1
                 support = compute_support(pattern, measure=config.support_measure)
                 if support >= config.min_support:
                     surviving[code] = pattern

@@ -6,7 +6,7 @@ package version and the run *kind* (``"result"`` for full
 :class:`~repro.core.results.MiningResult`\\ s, ``"spiders"`` for Stage-I
 spider sets).  Two consequences of that key choice:
 
-* **Execution-neutral.**  Worker count, partition strategy, backend and the
+* **Execution-neutral.**  Worker count, chunk size, backend and the
   cache policy itself are excluded (they provably do not change results —
   the parallel engine's parity guarantee), so a result mined with
   ``--workers 8`` on the CSR backend serves a later serial dict-backend run
@@ -200,8 +200,7 @@ class RunCache:
             "config": config_payload(config),
             "result": result_payload(result),
         }
-        if config.cache.store_graph:
-            self._put_graph_snapshot(graph, key.graph_digest)
+        self._put_graph_snapshot(graph, key.graph_digest)
         self.store.put_run(key.run_id, record, run_summary_from_record(record))
         # Derive the needle-side pattern index while the payload is in hand,
         # so the serving tier's containment queries never pay the per-run
@@ -274,8 +273,7 @@ class RunCache:
             "config": stage1_config_payload(config),
             "spiders": spiders_payload(spiders),
         }
-        if config.cache.store_graph:
-            self._put_graph_snapshot(graph, key.graph_digest)
+        self._put_graph_snapshot(graph, key.graph_digest)
         self.store.put_run(key.run_id, record, run_summary_from_record(record))
         self.inserts += 1
         self._count("spiders", "inserts")

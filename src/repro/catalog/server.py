@@ -52,11 +52,16 @@ __all__ = ["CatalogServer", "ServerHandle", "serve"]
 #: Requests larger than this are refused (needle batches are metadata-sized).
 MAX_BODY_BYTES = 16 * 1024 * 1024
 
+#: Seconds a client gets to send one whole request; a stalled read is a 408,
+#: so no client holds a connection handler indefinitely.
+READ_TIMEOUT_SECONDS = 30.0
+
 _REASONS = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     500: "Internal Server Error",
 }
 
@@ -167,8 +172,20 @@ class CatalogServer:
         started = time.monotonic()
         method, path = "-", "-"
         try:
-            method, path, params, raw_body = await self._read_request(reader)
+            try:
+                method, path, params, raw_body = await asyncio.wait_for(
+                    self._read_request(reader), READ_TIMEOUT_SECONDS
+                )
+            except asyncio.TimeoutError:
+                raise _HTTPError(
+                    408, f"request not received within {READ_TIMEOUT_SECONDS} s"
+                ) from None
             status, body = await self._route(method, path, params, raw_body)
+        except asyncio.CancelledError:
+            # Shutdown with this request in flight: drop the connection.  A
+            # handler task that ends cancelled makes asyncio log a traceback.
+            writer.close()
+            return
         except _HTTPError as error:
             status, body = error.status, canonical_json({"error": error.message})
         except Exception as error:  # never drop the connection without a reply

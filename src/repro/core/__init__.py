@@ -26,7 +26,6 @@ from .growth import (
     GrowthEngine,
     Occurrence,
     occurrence_code,
-    occurrence_subgraph,
     occurrence_support,
     occurrences_to_pattern,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "GrowthEngine",
     "Occurrence",
     "occurrence_code",
-    "occurrence_subgraph",
     "occurrence_support",
     "occurrences_to_pattern",
     "SpiderMine",

@@ -50,11 +50,6 @@ class CachePolicy:
     hits but never writes; ``"refresh"`` always re-mines and overwrites the
     stored run (cache-busting for debugging or after data corrections)."""
 
-    store_graph: bool = True
-    """Also ingest the (content-addressed) data-graph snapshot on insert, so
-    the catalog stays self-contained — re-mining a stored run needs nothing
-    but the store.  Identical graphs are stored once."""
-
     def __post_init__(self) -> None:
         if self.mode not in CACHE_MODES:
             raise ValueError(

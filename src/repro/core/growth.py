@@ -20,7 +20,9 @@ conditions checked directly on data vertices:
   edge between two vertices that are already part of the pattern occurrence.
 
 Support is the configured single-graph measure computed over the occurrence
-vertex/edge sets.
+vertex/edge sets.  Patterns are built only at report time
+(:func:`occurrences_to_pattern`), and aligned through canonical orders:
+nothing in this module runs a subgraph matcher.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 # patch or time it here; occurrences are coded through a ``CodeTable`` or
 # ``labelled_canonical``.
 from ..graph.canonical import CodeTable, canonical_code, labelled_canonical  # noqa: F401
-from ..graph.isomorphism import SubgraphMatcher
 from ..graph.labeled_graph import LabeledGraph, Vertex, normalise_edge
 from ..graph.view import GraphView
 from ..patterns.embedding import Embedding
@@ -136,16 +137,6 @@ def _inside_one(
     return False
 
 
-def occurrence_subgraph(data_graph: GraphView, occurrence: Occurrence) -> LabeledGraph:
-    """The labeled subgraph realised by an occurrence (its vertices + its edges)."""
-    sub = LabeledGraph()
-    for v in occurrence.vertices:
-        sub.add_vertex(v, data_graph.label(v))
-    for u, v in occurrence.edges:
-        sub.add_edge(u, v)
-    return sub
-
-
 # ---------------------------------------------------------------------- #
 # occurrence-level support
 # ---------------------------------------------------------------------- #
@@ -194,31 +185,36 @@ def occurrences_to_pattern(
 ) -> Pattern:
     """Convert a group of same-code occurrences into a :class:`Pattern` object.
 
-    The pattern graph is the first occurrence's subgraph relabeled onto
-    ``0..n-1``; each occurrence that is distinct under ``measure`` (see
-    :func:`occurrence_key`) contributes one embedding found by matching the
-    pattern graph inside the occurrence subgraph, so the pattern carries the
-    witnesses its support counted.
+    Pattern vertex ``i`` is position ``i`` of the first occurrence's
+    canonical order.  Each occurrence that is distinct under ``measure`` (see
+    :func:`occurrence_key`) contributes the embedding ``i -> its own
+    canonical order[i]``: equal codes make that map an isomorphism onto
+    exactly the occurrence's vertices and edges (see
+    :func:`~repro.graph.canonical.labelled_canonical`), so no matcher runs
+    and the pattern carries the witnesses its support counted.  An
+    occurrence whose code differs from the first one's raises ``ValueError``.
     """
     if not occurrences:
         raise ValueError("cannot build a pattern from zero occurrences")
-    first = occurrence_subgraph(data_graph, occurrences[0])
-    order = sorted(first.vertices(), key=repr)
-    rename = {v: i for i, v in enumerate(order)}
-    pattern_graph = first.relabeled(rename)
-    embeddings: List[Embedding] = []
-    seen: Set[object] = set()
-    for occ in occurrences:
+    first = occurrences[0]
+    order, code = labelled_canonical(first.vertices, data_graph.label, first.edges)
+    position = {v: i for i, v in enumerate(order)}
+    pattern_graph = LabeledGraph()
+    for i, v in enumerate(order):
+        pattern_graph.add_vertex(i, data_graph.label(v))
+    for a, b in sorted(sorted((position[u], position[v])) for u, v in first.edges):
+        pattern_graph.add_edge(a, b)
+    embeddings = [Embedding.from_dict(dict(enumerate(order)))]
+    seen: Set[object] = {occurrence_key(first, measure)}
+    for occ in occurrences[1:]:
         key = occurrence_key(occ, measure)
         if key in seen:
             continue
-        sub = occurrence_subgraph(data_graph, occ)
-        matcher = SubgraphMatcher(pattern_graph, sub, induced=False)
-        found = matcher.find_embeddings(limit=1)
-        if not found:
-            continue
-        embeddings.append(Embedding.from_dict(found[0]))
         seen.add(key)
+        occ_order, occ_code = labelled_canonical(occ.vertices, data_graph.label, occ.edges)
+        if occ_code != code:
+            raise ValueError(f"occurrence code {occ_code!r} differs from the group's {code!r}")
+        embeddings.append(Embedding.from_dict(dict(enumerate(occ_order))))
     return Pattern(graph=pattern_graph, embeddings=embeddings)
 
 

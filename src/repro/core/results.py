@@ -23,8 +23,6 @@ class MiningStatistics:
     num_seeds: int = 0
     num_merges: int = 0
     num_candidates_generated: int = 0
-    num_isomorphism_checks: int = 0
-    num_isomorphism_checks_pruned: int = 0
     num_growth_iterations: int = 0
     stage_durations: Dict[str, float] = field(default_factory=dict)
 
@@ -38,8 +36,6 @@ class MiningStatistics:
             "num_seeds": self.num_seeds,
             "num_merges": self.num_merges,
             "num_candidates_generated": self.num_candidates_generated,
-            "num_isomorphism_checks": self.num_isomorphism_checks,
-            "num_isomorphism_checks_pruned": self.num_isomorphism_checks_pruned,
             "num_growth_iterations": self.num_growth_iterations,
             "stage_durations": {
                 name: self.stage_durations[name] for name in sorted(self.stage_durations)

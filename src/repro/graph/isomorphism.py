@@ -6,7 +6,10 @@ Two related problems are needed by the miners:
   canonical codes (:mod:`repro.graph.canonical`) or by the matcher here;
 * **subgraph isomorphism enumeration**: find every embedding of a pattern in
   the (much larger) data graph.  This powers support counting for the
-  baselines and the verification paths of SpiderMine.
+  baselines, catalog containment queries and
+  :meth:`~repro.patterns.pattern.Pattern.recompute_embeddings`.  SpiderMine's
+  own mining never runs it: Stage I and reporting align through canonical
+  orders.
 
 The matcher is a backtracking search in the RI/GraphQL style: before any
 search starts, every pattern vertex gets a **candidate domain** — the target

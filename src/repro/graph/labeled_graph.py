@@ -38,12 +38,8 @@ class GraphError(ValueError):
 class LabeledGraph:
     """An undirected graph whose vertices carry labels.
 
-    Parameters
-    ----------
-    directed:
-        Kept for API completeness.  The SpiderMine paper works on undirected
-        graphs (the Jeti call graph is treated as a labeled undirected graph),
-        so only ``directed=False`` is supported; passing ``True`` raises.
+    The SpiderMine paper works on undirected graphs (the Jeti call graph is
+    treated as a labeled undirected graph), so there is no directed variant.
     """
 
     __slots__ = (
@@ -58,9 +54,7 @@ class LabeledGraph:
         "_mutations",
     )
 
-    def __init__(self, directed: bool = False) -> None:
-        if directed:
-            raise GraphError("LabeledGraph only supports undirected graphs")
+    def __init__(self) -> None:
         self._labels: Dict[Vertex, Label] = {}
         self._adj: Dict[Vertex, Set[Vertex]] = {}
         self._label_index: Dict[Label, Set[Vertex]] = {}

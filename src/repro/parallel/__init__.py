@@ -2,8 +2,8 @@
 
 Public surface:
 
-* :class:`ExecutionPolicy` — serial vs process-pool execution, worker count,
-  chunk size and seed-partitioning strategy; threaded through
+* :class:`ExecutionPolicy` — serial vs process-pool execution, worker count
+  and chunk size; threaded through
   :class:`~repro.core.config.SpiderMineConfig`;
 * :func:`export_shared_graph` / :func:`attach_shared_graph` — zero-copy
   sharing of a :class:`~repro.graph.frozen.FrozenGraph` CSR snapshot via
@@ -17,7 +17,7 @@ imports this package for the policy, and laziness keeps that cycle one-way at
 import time.
 """
 
-from .policy import EXECUTION_MODES, PARTITION_STRATEGIES, ExecutionPolicy
+from .policy import EXECUTION_MODES, ExecutionPolicy
 from .shared_graph import (
     AttachedGraph,
     SharedGraphHandle,
@@ -27,7 +27,6 @@ from .shared_graph import (
 
 __all__ = [
     "EXECUTION_MODES",
-    "PARTITION_STRATEGIES",
     "ExecutionPolicy",
     "AttachedGraph",
     "SharedGraphHandle",

@@ -4,7 +4,7 @@
 :meth:`repro.core.spider_miner.SpiderMiner.mine`:
 
 1. **Partition** — the mining units (one per frequent label, canonical order)
-   are split into chunks by the policy's chunk size and partition strategy.
+   are split into contiguous chunks of the policy's chunk size.
 2. **Mine** — a worker pool attaches the data graph from one shared-memory
    CSR snapshot (zero-copy, no graph pickling; see
    :mod:`repro.parallel.shared_graph`) and runs
@@ -66,17 +66,12 @@ def _require_cross_process_determinism(frozen, start_method: str) -> None:
 def partition_units(num_units: int, policy: ExecutionPolicy) -> List[List[int]]:
     """Split unit indices ``0..num_units-1`` into worker-task chunks.
 
-    ``contiguous`` cuts blocks in order; ``interleaved`` deals indices
-    round-robin so adjacent (often similar-cost) units land on different
-    workers.  The strategy is pure load balancing — the canonical merge makes
-    results independent of it.
+    Blocks of the policy's chunk size, in order.  Chunking is pure load
+    balancing — the canonical merge makes results independent of it.
     """
     if num_units <= 0:
         return []
     size = policy.resolved_chunk_size(num_units)
-    num_chunks = -(-num_units // size)
-    if policy.partition == "interleaved":
-        return [list(range(chunk, num_units, num_chunks)) for chunk in range(num_chunks)]
     return [
         list(range(start, min(start + size, num_units)))
         for start in range(0, num_units, size)

@@ -10,9 +10,9 @@ shares one switch.
 
 The policy deliberately has **no influence on results**: the parallel driver
 merges per-unit outputs in a canonical order (see
-:func:`repro.core.spider_miner.merge_unit_levels`), so worker count, chunk
-size and partition strategy only move work around.  That determinism
-guarantee is what makes the policy safe to flip in production.
+:func:`repro.core.spider_miner.merge_unit_levels`), so worker count and chunk
+size only move work around.  That determinism guarantee is what makes the
+policy safe to flip in production.
 """
 
 from __future__ import annotations
@@ -21,13 +21,10 @@ import multiprocessing
 from dataclasses import dataclass
 from typing import Optional
 
-__all__ = ["EXECUTION_MODES", "PARTITION_STRATEGIES", "ExecutionPolicy"]
+__all__ = ["EXECUTION_MODES", "ExecutionPolicy"]
 
 #: Accepted values for :attr:`ExecutionPolicy.mode`.
 EXECUTION_MODES = ("serial", "process")
-
-#: Accepted values for :attr:`ExecutionPolicy.partition`.
-PARTITION_STRATEGIES = ("contiguous", "interleaved")
 
 
 @dataclass(frozen=True)
@@ -46,11 +43,6 @@ class ExecutionPolicy:
     (4 * n_workers))`` so each worker sees ~4 tasks — enough granularity to
     rebalance around slow units without drowning in dispatch overhead."""
 
-    partition: str = "contiguous"
-    """How unit indices are grouped into chunks: ``"contiguous"`` blocks or
-    ``"interleaved"`` round-robin striding (spreads adjacent — often
-    similar-cost — units across workers).  Results are identical either way."""
-
     start_method: Optional[str] = None
     """``multiprocessing`` start method.  ``None`` prefers ``"fork"`` (cheap,
     and workers inherit the parent's string-hash seed, keeping iteration
@@ -66,11 +58,6 @@ class ExecutionPolicy:
             raise ValueError("n_workers must be at least 1")
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ValueError("chunk_size must be at least 1 when given")
-        if self.partition not in PARTITION_STRATEGIES:
-            raise ValueError(
-                f"unknown partition strategy {self.partition!r}; "
-                f"expected one of {PARTITION_STRATEGIES}"
-            )
         if self.start_method is not None:
             available = multiprocessing.get_all_start_methods()
             if self.start_method not in available:

@@ -7,15 +7,16 @@ import pytest
 from repro.core import (
     GrowthEngine,
     Occurrence,
+    SpiderMine,
     SpiderMineConfig,
     build_spider_index,
     mine_spiders,
     occurrence_code,
-    occurrence_subgraph,
     occurrence_support,
     occurrences_to_pattern,
 )
-from repro.graph import LabeledGraph
+from repro.graph import LabeledGraph, SubgraphMatcher
+from repro.graph.labeled_graph import normalise_edge
 from repro.patterns import SupportMeasure
 
 
@@ -53,14 +54,6 @@ class TestOccurrence:
         occ_a = Occurrence.from_vertices_edges({0, 1}, {(0, 1)})
         occ_b = Occurrence.from_vertices_edges({100, 101}, {(100, 101)})
         assert occurrence_code(graph, occ_a) == occurrence_code(graph, occ_b)
-
-    def test_occurrence_subgraph(self):
-        graph = ladder_graph()
-        occ = Occurrence.from_vertices_edges({0, 1, 2}, {(0, 1), (1, 2)})
-        sub = occurrence_subgraph(graph, occ)
-        assert sub.num_vertices == 3
-        assert sub.num_edges == 2
-        assert sub.label(0) == "A"
 
 
 class TestOccurrenceSupport:
@@ -102,6 +95,91 @@ class TestOccurrencesToPattern:
     def test_empty_occurrences_raises(self):
         with pytest.raises(ValueError):
             occurrences_to_pattern(ladder_graph(), [])
+
+    def test_pattern_is_numbered_by_canonical_position(self):
+        graph = ladder_graph()
+        occs = [Occurrence.from_vertices_edges({2, 3, 4}, {(2, 3), (3, 4)})]
+        pattern = occurrences_to_pattern(graph, occs)
+        assert sorted(pattern.graph.vertices()) == [0, 1, 2]
+        assert pattern.code == occurrence_code(graph, occs[0])
+
+    def test_harmful_overlap_embeddings_land_on_their_occurrences(self):
+        """Overlapping occurrences of a symmetric pattern: A-paths through B hubs."""
+        graph = LabeledGraph()
+        for v, label in enumerate("ABAABA"):
+            graph.add_vertex(v, label)
+        for u, v in [(0, 1), (1, 2), (2, 4), (3, 4), (4, 5), (1, 3)]:
+            graph.add_edge(u, v)
+        occs = [
+            Occurrence.from_vertices_edges({0, 1, 2}, {(0, 1), (1, 2)}),
+            Occurrence.from_vertices_edges({3, 4, 5}, {(3, 4), (4, 5)}),
+            Occurrence.from_vertices_edges({2, 4, 5}, {(2, 4), (4, 5)}),
+            Occurrence.from_vertices_edges({0, 1, 3}, {(0, 1), (1, 3)}),
+            # A repeat of the first: counted once.
+            Occurrence.from_vertices_edges({0, 1, 2}, {(0, 1), (1, 2)}),
+        ]
+        pattern = occurrences_to_pattern(graph, occs, SupportMeasure.HARMFUL_OVERLAP)
+        assert_embeddings_land_on(pattern, occs[:4])
+        assert pattern.verify_embeddings(graph)
+
+    @pytest.mark.parametrize("measure", [
+        SupportMeasure.EDGE_DISJOINT, SupportMeasure.HARMFUL_OVERLAP,
+    ])
+    def test_same_vertices_different_edges(self, measure):
+        """Three A-A-A paths on one triangle of a same-label 4-clique."""
+        graph = LabeledGraph()
+        for v in range(4):
+            graph.add_vertex(v, "A")
+        for u in range(4):
+            for v in range(u + 1, 4):
+                graph.add_edge(u, v)
+        occs = [
+            Occurrence.from_vertices_edges({0, 1, 2}, {(0, 1), (1, 2)}),
+            Occurrence.from_vertices_edges({0, 1, 2}, {(0, 2), (1, 2)}),
+            Occurrence.from_vertices_edges({0, 1, 2}, {(0, 1), (0, 2)}),
+            Occurrence.from_vertices_edges({1, 2, 3}, {(1, 3), (2, 3)}),
+        ]
+        pattern = occurrences_to_pattern(graph, occs, measure)
+        if measure is SupportMeasure.EDGE_DISJOINT:
+            assert_embeddings_land_on(pattern, occs)
+        else:
+            assert_embeddings_land_on(pattern, [occs[0], occs[3]])
+        assert pattern.verify_embeddings(graph)
+
+    def test_mismatched_codes_raise(self):
+        graph = ladder_graph()
+        occs = [
+            Occurrence.from_vertices_edges({0, 1}, {(0, 1)}),
+            Occurrence.from_vertices_edges({1, 2}, {(1, 2)}),
+        ]
+        with pytest.raises(ValueError, match="differs"):
+            occurrences_to_pattern(graph, occs)
+
+    @pytest.mark.parametrize("measure", [
+        SupportMeasure.HARMFUL_OVERLAP, SupportMeasure.EDGE_DISJOINT,
+    ])
+    def test_mining_builds_no_matcher(self, planted_dataset, monkeypatch, measure):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("mining built a SubgraphMatcher")
+
+        monkeypatch.setattr(SubgraphMatcher, "__init__", refuse)
+        config = SpiderMineConfig(
+            min_support=2, k=5, d_max=6, seed=0, support_measure=measure
+        )
+        result = SpiderMine(planted_dataset.graph, config).mine()
+        assert result.patterns
+        for pattern in result.patterns:
+            assert pattern.verify_embeddings(planted_dataset.graph)
+
+
+def assert_embeddings_land_on(pattern, occurrences):
+    """Embedding ``i`` maps the pattern onto exactly ``occurrences[i]``."""
+    assert len(pattern.embeddings) == len(occurrences)
+    pattern_edges = list(pattern.graph.edges())
+    for embedding, occ in zip(pattern.embeddings, occurrences):
+        mapping = embedding.to_dict()
+        assert set(mapping.values()) == occ.vertices
+        assert {normalise_edge(mapping[u], mapping[v]) for u, v in pattern_edges} == occ.edges
 
 
 def make_engine(graph, **config_kwargs):

@@ -64,10 +64,6 @@ class TestConstruction:
         with pytest.raises(GraphError):
             graph.add_edge(1, 1)
 
-    def test_directed_not_supported(self):
-        with pytest.raises(GraphError):
-            LabeledGraph(directed=True)
-
     def test_graph_from_edges(self):
         graph = graph_from_edges([(1, 2), (2, 3)], {1: "A", 2: "B", 3: "C", 4: "D"})
         assert graph.num_vertices == 4

@@ -214,10 +214,6 @@ class TestPolicyValidation:
         with pytest.raises(ValueError, match="chunk_size"):
             ExecutionPolicy(chunk_size=0)
 
-    def test_rejects_unknown_partition(self):
-        with pytest.raises(ValueError, match="partition"):
-            ExecutionPolicy(partition="random")
-
     def test_rejects_unavailable_start_method(self):
         with pytest.raises(ValueError, match="start method"):
             ExecutionPolicy(start_method="teleport")

@@ -1,9 +1,9 @@
 """Serial == parallel determinism guarantee of the mining engine.
 
 The contract under test: for a fixed seed, mining with any
-:class:`ExecutionPolicy` — any worker count, chunk size or partition
-strategy, on either graph backend — returns results *bit-identical* to the
-serial run: same spiders, same canonical codes, same embeddings, same order.
+:class:`ExecutionPolicy` — any worker count or chunk size, on either graph
+backend — returns results *bit-identical* to the serial run: same spiders,
+same canonical codes, same embeddings, same order.
 """
 
 from __future__ import annotations
@@ -67,11 +67,10 @@ class TestStageOneParity:
         parallel = SpiderMiner(graph, config).mine()
         assert spider_fingerprint(parallel) == spider_fingerprint(serial_spiders)
 
-    @pytest.mark.parametrize("partition", ["contiguous", "interleaved"])
-    def test_partition_strategy_is_invisible(self, data_graph, serial_spiders, partition):
+    def test_chunk_size_is_invisible(self, data_graph, serial_spiders):
         config = SpiderMineConfig(
             min_support=2,
-            execution=ExecutionPolicy.process_pool(2, partition=partition, chunk_size=1),
+            execution=ExecutionPolicy.process_pool(2, chunk_size=1),
         )
         parallel = SpiderMiner(data_graph, config).mine()
         assert spider_fingerprint(parallel) == spider_fingerprint(serial_spiders)
@@ -147,12 +146,6 @@ class TestMergeAndPartitionMachinery:
         policy = ExecutionPolicy.process_pool(3, chunk_size=4)
         chunks = partition_units(10, policy)
         assert chunks == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
-
-    def test_partition_interleaved_covers_all_units(self):
-        policy = ExecutionPolicy.process_pool(3, chunk_size=4, partition="interleaved")
-        chunks = partition_units(10, policy)
-        assert sorted(unit for chunk in chunks for unit in chunk) == list(range(10))
-        assert len(chunks) == 3
 
     def test_partition_empty(self):
         assert partition_units(0, ExecutionPolicy.process_pool(4)) == []

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import socket
+import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -14,6 +16,7 @@ import pytest
 import repro
 from repro import open_catalog
 from repro.catalog import canonical_json
+from repro.catalog import server as server_module
 from repro.graph import LabeledGraph, synthetic_single_graph
 from repro.graph.io import graph_to_dict
 from repro.obs import get_logger
@@ -40,12 +43,40 @@ def _raw(handle, request: bytes) -> bytes:
     with socket.create_connection((handle.host, handle.port), timeout=10) as sock:
         sock.sendall(request)
         sock.shutdown(socket.SHUT_WR)
-        chunks = []
-        while True:
-            chunk = sock.recv(65536)
-            if not chunk:
-                return b"".join(chunks)
-            chunks.append(chunk)
+        return _read_all(sock)
+
+
+def _read_all(sock) -> bytes:
+    chunks = []
+    while True:
+        chunk = sock.recv(65536)
+        if not chunk:
+            return b"".join(chunks)
+        chunks.append(chunk)
+
+
+def _stalled_request(handle):
+    """A connection that declared a 64-byte body, sent 2 bytes and stalls."""
+    sock = socket.create_connection((handle.host, handle.port), timeout=10)
+    sock.sendall(b"POST /contains HTTP/1.1\r\nHost: test\r\nContent-Length: 64\r\n\r\n{}")
+    return sock
+
+
+@contextlib.contextmanager
+def _error_records():
+    """ERROR records of the serve logger and of asyncio (handler tracebacks)."""
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    handler.setLevel(logging.ERROR)
+    loggers = [get_logger("serve"), logging.getLogger("asyncio")]
+    for logger in loggers:
+        logger.addHandler(handler)
+    try:
+        yield records
+    finally:
+        for logger in loggers:
+            logger.removeHandler(handler)
 
 
 @pytest.fixture(scope="module")
@@ -220,6 +251,28 @@ class TestErrors:
         assert head.startswith(b"HTTP/1.1 400 "), head
         assert json.loads(payload)["error"]
         assert not [r for r in records if r.levelno >= logging.ERROR]
+
+    def test_stalled_body_is_408_and_close_logs_nothing(self, served_catalog, monkeypatch):
+        """A client that declares 64 body bytes, sends 2 and stalls gets a 408."""
+        catalog, _ = served_catalog
+        monkeypatch.setattr(server_module, "READ_TIMEOUT_SECONDS", 0.2)
+        with _error_records() as records:
+            with catalog.serve(port=0, background=True) as handle:
+                with _stalled_request(handle) as sock:
+                    reply = _read_all(sock)
+        head, _, payload = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 408 "), head
+        assert "not received" in json.loads(payload)["error"]
+        assert not records
+
+    def test_close_with_a_stalled_request_in_flight_logs_nothing(self, served_catalog):
+        catalog, _ = served_catalog
+        with _error_records() as records:
+            handle = catalog.serve(port=0, background=True)
+            with _stalled_request(handle):
+                time.sleep(0.2)  # let the handler start its read
+                handle.close()
+        assert not records
 
 
 class TestConcurrency:
